@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the checkpointing substrate — the
 // ablation behind Table V: what one instrumented store costs in each
 // instrumentation mode, and what checkpoint/rollback cost at the undo-log
-// sizes the servers actually produce.
+// sizes the servers actually produce — plus the fiber layer every simulated
+// user-process syscall crosses twice.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "ckpt/context.hpp"
 #include "ckpt/page_store.hpp"
 #include "ckpt/undo_log.hpp"
+#include "cothread/fiber.hpp"
 
 using namespace osiris;
 
@@ -275,6 +277,33 @@ void BM_StateTransfer(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_StateTransfer)->Arg(4 << 10)->Arg(64 << 10)->Arg(512 << 10);
+
+// One resume + suspend round trip: what a user process pays per syscall
+// (suspend until the reply, resume on delivery).
+void BM_FiberSwitch(benchmark::State& state) {
+  bool stop = false;
+  cothread::Fiber fiber([&stop] {
+    while (!stop) cothread::Fiber::suspend();
+  });
+  for (auto _ : state) fiber.resume();
+  stop = true;
+  fiber.resume();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FiberSwitch);
+
+// Create + run to completion + destroy: a fork()ed process's fiber life,
+// stack acquisition and release included.
+void BM_FiberCreate(benchmark::State& state) {
+  int runs = 0;
+  for (auto _ : state) {
+    cothread::Fiber fiber([&runs] { ++runs; });
+    fiber.resume();
+  }
+  benchmark::DoNotOptimize(runs);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FiberCreate);
 
 }  // namespace
 

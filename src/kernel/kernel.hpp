@@ -285,7 +285,7 @@ class Kernel {
   bool pop_queued(Queued& out);
   [[nodiscard]] const Queued* peek_queued() const;
   void record_batch(std::size_t n);
-  void handle_crash(Endpoint crashed, const CrashContext& ctx);
+  void handle_crash(const CrashContext& ctx);
   const Grant* check_grant(Endpoint grantee, GrantId id, std::size_t offset, std::size_t len,
                            Access need, std::int64_t* err) const;
 

@@ -1,12 +1,22 @@
 // Unit tests: SEEP classification/policies/window state machine, and the
 // cooperative thread library.
 #include <gtest/gtest.h>
+#include <unistd.h>
+#include <xmmintrin.h>
+
+#include <atomic>
+#include <cfenv>
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
+#include <thread>
 
 #include "cothread/fiber.hpp"
 #include "seep/policy.hpp"
 #include "seep/seep.hpp"
 #include "seep/window.hpp"
 #include "servers/protocol.hpp"
+#include "support/worker_pool.hpp"
 
 using namespace osiris;
 
@@ -202,4 +212,197 @@ TEST(Fiber, NestedResumeFromInsideFiber) {
   outer.resume();
   EXPECT_EQ(inner_ran, 1);
   EXPECT_TRUE(outer.finished());
+}
+
+TEST(Fiber, FloatingPointControlStateIsPerContext) {
+  // fesetround writes both the x87 control word and MXCSR; each side of a
+  // switch keeps its own.
+  const int outer = std::fegetround();
+  const unsigned outer_mxcsr = _mm_getcsr();
+  int inside_after_resume = -1;
+  unsigned inside_mxcsr = 0;
+  cothread::Fiber f([&] {
+    std::fesetround(FE_UPWARD);
+    cothread::Fiber::suspend();
+    inside_after_resume = std::fegetround();
+    inside_mxcsr = _mm_getcsr();
+  });
+  f.resume();
+  EXPECT_EQ(std::fegetround(), outer);
+  EXPECT_EQ(_mm_getcsr(), outer_mxcsr);
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(inside_after_resume, FE_UPWARD);
+  EXPECT_EQ(inside_mxcsr & _MM_ROUND_MASK, static_cast<unsigned>(_MM_ROUND_UP));
+  EXPECT_EQ(std::fegetround(), outer);
+  EXPECT_EQ(_mm_getcsr(), outer_mxcsr);
+}
+
+TEST(Fiber, StackIsSixteenByteAlignedAtEntry) {
+  // The compiler assumes the ABI's alignment: an aligned SSE local lands on a
+  // 16-byte boundary only if the fiber entered with the stack aligned, and
+  // printf of a long double spills with movaps (it faults when misaligned).
+  std::uintptr_t addr = 1;
+  char text[32] = {};
+  cothread::Fiber f([&] {
+    volatile __m128 v = _mm_set1_ps(1.0f);
+    addr = reinterpret_cast<std::uintptr_t>(&v);
+    std::snprintf(text, sizeof text, "%Lf", static_cast<long double>(v[0]) / 4);
+  });
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(addr % 16, 0u);
+  EXPECT_STREQ(text, "0.250000");
+}
+
+TEST(Fiber, ExceptionCaughtInsideFiberAfterSwitch) {
+  bool caught = false;
+  cothread::Fiber f([&] {
+    cothread::Fiber::suspend();
+    try {
+      throw std::runtime_error("caught inside");
+    } catch (const std::runtime_error&) {
+      caught = true;
+    }
+    cothread::Fiber::suspend();
+    throw std::logic_error("escapes");
+  });
+  f.resume();
+  f.resume();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(f.take_exception(), nullptr);
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  auto e = f.take_exception();
+  ASSERT_TRUE(e != nullptr);
+  EXPECT_THROW(std::rethrow_exception(e), std::logic_error);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#endif
+
+TEST(Fiber, DestroyedSuspendedFiberStackIsReused) {
+  // A suspended fiber leaves a marker 4 KiB below its entry frame, then is
+  // destroyed. The next fiber gets the same stack back from the free list —
+  // marker still there — rather than a fresh, zero-filled mapping.
+  constexpr std::uint64_t kMarker = 0x0515c0de0515c0deu;
+  volatile std::uint64_t* marker = nullptr;
+  auto first = std::make_unique<cothread::Fiber>([&marker] {
+    volatile std::uint64_t deep[512];
+    deep[0] = kMarker;
+    marker = &deep[0];
+    cothread::Fiber::suspend();
+  });
+  first->resume();
+  ASSERT_EQ(first->state(), cothread::Fiber::State::kSuspended);
+  first.reset();
+
+  volatile std::uint64_t* frame = nullptr;
+  std::uint64_t seen = 0;
+  cothread::Fiber second([&] {
+    volatile std::uint64_t local = 0;
+    frame = &local;
+    // Below this frame's stack pointer, inside the stack's mapping.
+    if (!kAsan) seen = *marker;
+  });
+  second.resume();
+  if (kAsan) {
+    // An abandoned stack stays mapped as an LSan root region instead.
+    EXPECT_FALSE(frame > marker && frame - marker < 1024);
+  } else {
+    EXPECT_TRUE(frame > marker && frame - marker < 1024);
+    EXPECT_EQ(seen, kMarker);
+  }
+}
+
+TEST(Fiber, WorkerThreadsKeepTheirOwnCurrentFiber) {
+  constexpr std::size_t kThreads = 2;
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 20000;
+  std::vector<int> bleeds(kThreads, 0);
+  std::vector<int> steps(kThreads, 0);
+  std::atomic<std::size_t> started{0};
+  support::WorkerPool::run_indexed(kThreads, kThreads, [&](std::size_t t) {
+    // Rendezvous: both threads switch fibers at the same time.
+    started.fetch_add(1);
+    while (started.load() < kThreads) std::this_thread::yield();
+    std::vector<std::unique_ptr<cothread::Fiber>> fibers;
+    fibers.reserve(kFibers);  // each fiber holds its own slot's address
+    for (int i = 0; i < kFibers; ++i) {
+      auto* slot = &fibers.emplace_back();
+      *slot = std::make_unique<cothread::Fiber>([&, slot, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          if (cothread::Fiber::current() != slot->get()) ++bleeds[t];
+          ++steps[t];
+          cothread::Fiber::suspend();
+        }
+      });
+    }
+    for (int round = 0; round <= kRounds; ++round) {
+      for (auto& f : fibers) {
+        f->resume();
+        if (cothread::Fiber::current() != nullptr) ++bleeds[t];
+      }
+    }
+    for (auto& f : fibers) EXPECT_TRUE(f->finished());
+  });
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(bleeds[t], 0);
+    EXPECT_EQ(steps[t], kFibers * kRounds);
+  }
+}
+
+// Deep enough recursion to run off any fiber stack; the volatile frame and
+// the use after the call keep it from becoming a loop.
+volatile int g_recursion_floor = -1;
+int recurse_forever(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == g_recursion_floor) return frame[0];
+  return recurse_forever(depth + 1) + frame[0];
+}
+
+// The guard page of the overflowing fiber's stack, and a SIGSEGV handler
+// that lets only a fault inside it kill the process with SIGSEGV.
+std::uintptr_t g_guard_lo = 0;
+std::uintptr_t g_guard_hi = 0;
+void on_overflow_segv(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  if (addr < g_guard_lo || addr >= g_guard_hi) _exit(3);
+  // SA_RESETHAND restored the default action: the retried store kills the
+  // process with SIGSEGV.
+}
+
+void overflow_fiber_stack() {
+  static char alt_stack[64 * 1024];  // the fiber's own stack is exhausted
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof alt_stack;
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = on_overflow_segv;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK | SA_RESETHAND;
+  sigaction(SIGSEGV, &sa, nullptr);
+
+  constexpr std::uintptr_t kStack = 128 * 1024;
+  cothread::Fiber f(
+      [] {
+        // The stack's top is the page boundary just above the entry frame;
+        // the guard page lies one stack size below it.
+        volatile int entry = 0;
+        const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+        const std::uintptr_t top = (reinterpret_cast<std::uintptr_t>(&entry) | (page - 1)) + 1;
+        g_guard_hi = top - kStack;
+        g_guard_lo = g_guard_hi - page;
+        (void)recurse_forever(0);
+      },
+      kStack);
+  f.resume();
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnGuardPage) {
+  EXPECT_EXIT(overflow_fiber_stack(), testing::KilledBySignal(SIGSEGV), "");
 }
