@@ -15,13 +15,12 @@
 // faults on VFS's busiest probe site and reports the recovery-induced
 // latency-spike width on top of the same load.
 //
-// Configs swept: baseline (all fast-path flags off), each flag alone
-// (arena / batching / zero-copy), and all flags together — the before/after
-// columns for BENCH_serving.json. Acceptance: fastpath >= 1.5x baseline
-// steady-state msgs/sec.
+// Configs swept: baseline (zero-copy off) and fastpath (zero-copy on) — the
+// before/after columns for BENCH_serving.json. Acceptance: fastpath >= 1.5x
+// baseline steady-state msgs/sec.
 //
 // A final miss-regime sweep (DESIGN.md §16) shrinks the block cache to an
-// eighth of the working set and runs the full fast path with the VFS fiber
+// eighth of the working set and runs zero-copy on with the VFS fiber
 // path vs the FOM executor across an in-flight-depth axis (1, N/4, N
 // clients): the executor overlaps the 40-tick disk waits the fiber path
 // serializes, and the per-run fom_stats (parks, in_flight_high_water) land
@@ -439,7 +438,7 @@ RunResult run_serving(const Options& opt, const std::string& config_name,
   // Self-rescheduling Poisson arrival chain per client. Inter-arrival gaps
   // are exponential in virtual ticks; clamping to >= 1 keeps the clock
   // strictly advancing. Multiple clients landing on the same tick is what
-  // feeds multi-message dispatch rounds (and batches, when enabled).
+  // feeds multi-message dispatch rounds.
   Rng arrivals(opt.seed ^ 0x9e3779b9u);
   std::function<void(BenchClient*)> chain = [&](BenchClient* c) {
     if (acc.stopped) return;
@@ -552,23 +551,11 @@ void json_run(std::FILE* f, const RunResult& r, bool last) {
                  static_cast<unsigned long long>(r.fom.wait_ticks_total));
   }
   std::fprintf(f,
-               "     \"kernel\": {\"messages_queued\": %llu, \"queue_high_water\": %llu, "
-               "\"arena_spills\": %llu,\n"
-               "                \"batches\": %llu, \"batched_messages\": %llu, "
-               "\"batch_hist\": [",
-               static_cast<unsigned long long>(k.messages_queued),
-               static_cast<unsigned long long>(k.queue_high_water),
-               static_cast<unsigned long long>(k.arena_spills),
-               static_cast<unsigned long long>(k.batches),
-               static_cast<unsigned long long>(k.batched_messages));
-  for (std::size_t i = 0; i < kernel::kBatchHistBuckets; ++i) {
-    std::fprintf(f, "%s%llu", i == 0 ? "" : ", ",
-                 static_cast<unsigned long long>(k.batch_hist[i]));
-  }
-  std::fprintf(f,
-               "],\n"
+               "     \"kernel\": {\"messages_queued\": %llu, \"queue_high_water\": %llu,\n"
                "                \"safecopy_bytes\": %llu, \"grant_bypass_bytes\": %llu, "
                "\"grant_spans\": %llu}}%s\n",
+               static_cast<unsigned long long>(k.messages_queued),
+               static_cast<unsigned long long>(k.queue_high_water),
                static_cast<unsigned long long>(k.safecopy_bytes),
                static_cast<unsigned long long>(k.grant_bypass_bytes),
                static_cast<unsigned long long>(k.grant_spans), last ? "" : ",");
@@ -622,24 +609,9 @@ int main(int argc, char** argv) {
     const char* name;
     kernel::FastPath fp;
   };
-  std::vector<Config> configs;
-  configs.push_back({"baseline", kernel::FastPath{}});
-  {
-    kernel::FastPath f;
-    f.arena_queue = true;
-    configs.push_back({"arena", f});
-  }
-  {
-    kernel::FastPath f;
-    f.batching = true;
-    configs.push_back({"batching", f});
-  }
-  {
-    kernel::FastPath f;
-    f.zero_copy = true;
-    configs.push_back({"zero_copy", f});
-  }
-  configs.push_back({"fastpath", kernel::FastPath::all_on()});
+  const kernel::FastPath zero_copy{.zero_copy = true};
+  const std::vector<Config> configs = {{"baseline", kernel::FastPath{}},
+                                       {"fastpath", zero_copy}};
 
   std::printf("serving_load: %d clients, %.1fs/run, profile=%s, payload=%zu, seed=%llu\n",
               opt.clients, opt.seconds, opt.profile.c_str(), opt.payload,
@@ -690,27 +662,24 @@ int main(int argc, char** argv) {
     }
     results.push_back(steady);
   }
-  // Faulted phase for the before/after endpoints of the sweep, after the
-  // steady sweep so fault influx never warps a steady column.
+  // Faulted phase for both columns, after the steady sweep so fault influx
+  // never warps a steady column.
   for (const Config& c : configs) {
     const bool is_base = std::strcmp(c.name, "baseline") == 0;
-    const bool is_fast = std::strcmp(c.name, "fastpath") == 0;
-    if (!is_base && !is_fast) continue;
     RunResult faulted =
         run_serving(opt, c.name, c.fp, vfs_site, is_base ? base_mean_ns : fast_mean_ns);
     std::printf("%-10s %-8s %12.1f %10.2f %10.2f %10.2f %10.1f\n", faulted.config.c_str(),
                 faulted.phase.c_str(), faulted.msgs_per_sec, faulted.p50_us, faulted.p99_us,
                 faulted.p999_us, faulted.spike_width_ms);
     std::fflush(stdout);
-    if (is_base) base_spike = faulted.spike_width_ms;
-    if (is_fast) fast_spike = faulted.spike_width_ms;
+    (is_base ? base_spike : fast_spike) = faulted.spike_width_ms;
     results.push_back(faulted);
   }
   const double speedup = base_steady > 0 ? fast_steady / base_steady : 0.0;
   std::printf("\nsteady-state speedup (fastpath / baseline): %.2fx\n", speedup);
 
   // Miss-regime sweep over in-flight depth (DESIGN.md §16): fiber path vs
-  // FOM executor, both on the full fast path, with the cache shrunk to an
+  // FOM executor, both with zero-copy on, with the cache shrunk to an
   // eighth of the working set. Depth = concurrent clients: at depth 1 the
   // two paths tie (nothing to overlap), and the executor's advantage grows
   // with depth because parked requests stop serializing the disk waits.
@@ -734,7 +703,7 @@ int main(int argc, char** argv) {
       std::vector<RunResult> reps;
       for (int rep = 0; rep < opt.reps; ++rep) {
         reps.push_back(run_serving(miss_opt, fom ? "fastpath_fom" : "fastpath",
-                                   kernel::FastPath::all_on(), nullptr, 0.0, fom,
+                                   zero_copy, nullptr, 0.0, fom,
                                    /*miss_regime=*/true));
       }
       RunResult miss = median_rep(reps);

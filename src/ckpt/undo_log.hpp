@@ -39,7 +39,6 @@ struct UndoLogStats {
   std::uint64_t rollbacks = 0;
   std::uint64_t partial_rollbacks = 0;  // rollback_to() calls (FOM park-time sub-rollback)
   std::uint64_t checkpoints = 0;    // reset() calls
-  std::uint64_t checkpoints_skipped = 0;  // lazy checkpoints elided on a clean log
   // --- page tier (DESIGN.md §17); all zero unless a PageStore is attached --
   std::uint64_t page_records = 0;       // CoW page snapshots captured
   std::uint64_t page_bytes_logged = 0;  // bytes of captured page pre-images
@@ -88,22 +87,6 @@ class UndoLog {
 
   /// Discard the log: this *is* checkpoint creation at the top of the loop.
   void checkpoint();
-
-  /// Lazy checkpoint: elide the reset when the log is already clean.
-  /// Observationally identical to checkpoint() — an empty log emits no
-  /// kUndoTruncate either way and the filter holds no live entries — so the
-  /// skip is trace-invariant. This is what makes "one physical checkpoint
-  /// per dispatch batch" fall out of SEEP classification: NSM handlers never
-  /// dirty the log, so every window open after the batch's first finds it
-  /// clean (DESIGN.md §14).
-  void checkpoint_if_dirty() {
-    if (n_entries_ == 0 && data_bytes_ == 0 && filter_live_ == 0 &&
-        (pages_ == nullptr || pages_->clean())) {
-      ++stats_.checkpoints_skipped;
-      return;
-    }
-    checkpoint();
-  }
 
   /// Attach the page tier: checkpoint/rollback/rollback_to/mark cascade into
   /// it, so every existing call site (seep::Window, the recovery engine, the

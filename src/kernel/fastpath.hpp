@@ -1,62 +1,25 @@
 // Fast-path configuration for the IPC substrate (DESIGN.md §14).
 //
-// Three independent optimizations, each behind its own flag so the serving
-// benchmark can report before/after columns and the golden-trace tests can
-// pin observational equivalence per flag:
-//
-//   - arena_queue: back the kernel message queue with a fixed-capacity ring
-//     so steady-state enqueue/dispatch does zero heap allocation. Bursts
-//     beyond the ring spill to a deque overflow (FIFO order preserved) and
-//     are counted, so backpressure is visible instead of silent.
-//
-//   - batching: coalesce consecutive front-of-queue messages to the same
-//     server endpoint into one dispatch batch. Delivery order is exactly the
-//     unbatched FIFO order; the win is one slot lookup per batch plus one
-//     physical checkpoint per batch — the msg_spec SEEP class table decides
-//     eligibility declaratively (NSM requests leave the undo log clean, so
-//     every window open after the first finds nothing to truncate).
-//
-//   - zero_copy: route bulk payloads (above the inline-text threshold)
-//     through kernel-checked grant spans instead of staging them through a
-//     heap buffer and safecopy. Consumed by the VFS read/write paths.
+// zero_copy: route bulk payloads (above kZeroCopyThreshold) through
+// kernel-checked grant spans instead of staging them through a heap buffer
+// and safecopy. Consumed by the VFS read/write paths. Off by default so the
+// baseline serving column measures the pre-optimization system; golden
+// traces pin observational equivalence across the flag.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "kernel/message.hpp"
 
 namespace osiris::kernel {
 
 struct FastPath {
-  bool arena_queue = false;
-  bool batching = false;
   bool zero_copy = false;
-
-  /// Ring slots for the arena queue; beyond this, sends spill to the heap.
-  std::size_t ring_capacity = 1024;
-
-  /// Cap on one dispatch batch, so a flood to one endpoint cannot starve
-  /// per-iteration bookkeeping (histogram buckets sized to match).
-  std::size_t max_batch = 16;
-
-  /// Payloads strictly larger than this go through grant spans when
-  /// zero_copy is set; at or below, the staging copy is cheaper than the
-  /// grant check. Matches the inline message text capacity.
-  std::size_t zero_copy_threshold = kMsgTextCap;
-
-  [[nodiscard]] static FastPath all_on() {
-    FastPath f;
-    f.arena_queue = true;
-    f.batching = true;
-    f.zero_copy = true;
-    return f;
-  }
 };
 
-/// Batch eligibility is decided by the declarative msg_spec class table
-/// (servers layer); the kernel only holds a hook so the substrate stays
-/// below the protocol in the layering.
-using BatchEligibleFn = bool (*)(std::uint32_t type);
+/// Payloads strictly larger than this go through grant spans when zero_copy
+/// is set; at or below, the staging copy is cheaper than the grant check.
+/// Matches the inline message text capacity.
+inline constexpr std::size_t kZeroCopyThreshold = kMsgTextCap;
 
 }  // namespace osiris::kernel

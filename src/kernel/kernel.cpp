@@ -62,72 +62,9 @@ void Kernel::send(Endpoint src, Endpoint dst, Message m) {
   enqueue(dst, m);
 }
 
-void Kernel::set_fastpath(const FastPath& f) {
-  fast_ = f;
-  if (fast_.arena_queue) {
-    if (fast_.ring_capacity == 0) fast_.ring_capacity = 1;
-    ring_.resize(fast_.ring_capacity);
-  } else {
-    // Drain any ring residue back into the deque so disabling the arena
-    // mid-stream keeps FIFO order (ring messages are older than spilled).
-    for (std::size_t i = 0; i < ring_size_; ++i) {
-      queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(i),
-                    ring_[(ring_head_ + i) % ring_.size()]);
-    }
-    ring_.clear();
-    ring_head_ = ring_size_ = 0;
-  }
-  if (fast_.max_batch == 0) fast_.max_batch = 1;
-}
-
 void Kernel::enqueue(Endpoint dst, const Message& m) {
-  if (fast_.arena_queue && queue_.empty() && ring_size_ < ring_.size()) {
-    ring_[(ring_head_ + ring_size_) % ring_.size()] = Queued{dst, m};
-    ++ring_size_;
-  } else {
-    if (fast_.arena_queue) ++stats_.arena_spills;
-    queue_.push_back(Queued{dst, m});
-  }
-  const std::uint64_t depth = ring_size_ + queue_.size();
-  if (depth > stats_.queue_high_water) stats_.queue_high_water = depth;
-}
-
-bool Kernel::pop_queued(Queued& out) {
-  if (ring_size_ > 0) {
-    out = ring_[ring_head_];
-    ring_head_ = (ring_head_ + 1) % ring_.size();
-    --ring_size_;
-    // Backpressure release: promote spilled messages into the freed slots,
-    // oldest first, so peek/pop keep seeing global FIFO order.
-    while (!queue_.empty() && ring_size_ < ring_.size()) {
-      ring_[(ring_head_ + ring_size_) % ring_.size()] = queue_.front();
-      queue_.pop_front();
-      ++ring_size_;
-    }
-    return true;
-  }
-  if (!queue_.empty()) {
-    out = queue_.front();
-    queue_.pop_front();
-    return true;
-  }
-  return false;
-}
-
-const Kernel::Queued* Kernel::peek_queued() const {
-  if (ring_size_ > 0) return &ring_[ring_head_];
-  if (!queue_.empty()) return &queue_.front();
-  return nullptr;
-}
-
-void Kernel::record_batch(std::size_t n) {
-  OSIRIS_ASSERT(n >= 1);
-  const std::size_t bucket = n < kBatchHistBuckets ? n - 1 : kBatchHistBuckets - 1;
-  ++stats_.batch_hist[bucket];
-  if (n >= 2) {
-    ++stats_.batches;
-    stats_.batched_messages += n;
-  }
+  queue_.push_back(Queued{dst, m});
+  if (queue_.size() > stats_.queue_high_water) stats_.queue_high_water = queue_.size();
 }
 
 void Kernel::notify(Endpoint src, Endpoint dst, std::uint32_t type) {
@@ -310,8 +247,9 @@ void Kernel::note_grant_bypass(Endpoint grantee, std::size_t len, int dir) {
 bool Kernel::dispatch_pending() {
   bool any = false;
   std::uint64_t delivered = 0;
-  Queued q;
-  while (state_ == SystemState::kRunning && pop_queued(q)) {
+  while (state_ == SystemState::kRunning && !queue_.empty()) {
+    const Queued q = queue_.front();
+    queue_.pop_front();
     any = true;
     if (burst_cap_ != 0 && ++delivered > burst_cap_) {
       // Livelock valve: a self-sustaining message storm (e.g. kHandlerSpin
@@ -320,34 +258,11 @@ bool Kernel::dispatch_pending() {
       // can fire. Drop the backlog and return; the run loop's step budget
       // then decides the outcome (a storm campaign classifies it starved).
       ++stats_.dispatch_aborts;
-      ring_size_ = 0;
-      ring_head_ = 0;
       queue_.clear();
       break;
     }
     if (auto sit = servers_.find(q.dst.value); sit != servers_.end()) {
-      ServerSlot& slot = sit->second;
-      if (fast_.batching && batch_eligible_ != nullptr && batch_eligible_(q.msg.type)) {
-        // Per-endpoint batch: deliver consecutive eligible messages bound
-        // for the same server without re-touching the queue bookkeeping or
-        // the slot lookup. Delivery order is exactly what the unbatched
-        // loop would produce — the batch only fuses accounting, and the
-        // per-message quarantine/hang/state checks still run inside
-        // deliver_to_server for every member.
-        std::size_t n = 1;
-        deliver_to_server(slot, q.dst, q.msg);
-        while (n < fast_.max_batch && state_ == SystemState::kRunning) {
-          const Queued* next = peek_queued();
-          if (next == nullptr || next->dst != q.dst || !batch_eligible_(next->msg.type)) break;
-          pop_queued(q);
-          deliver_to_server(slot, q.dst, q.msg);
-          ++n;
-        }
-        record_batch(n);
-      } else {
-        deliver_to_server(slot, q.dst, q.msg);
-        if (fast_.batching) record_batch(1);
-      }
+      deliver_to_server(sit->second, q.dst, q.msg);
     } else if (auto cit = clients_.find(q.dst.value); cit != clients_.end()) {
       if (is_notify(q.msg.type)) {
         cit->second->on_notify(q.msg);

@@ -32,7 +32,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "kernel/fastpath.hpp"
 #include "kernel/grant.hpp"
@@ -70,10 +69,10 @@ using CrashHandler = std::function<CrashDecision(const CrashContext&)>;
 
 enum class SystemState : std::uint8_t { kRunning, kShutdown, kCrashed };
 
-/// Batch-size histogram buckets: sizes 1..7 map to their own bucket, 8 and
-/// above share the last one (FastPath::max_batch defaults above 8 on
-/// purpose, so the tail bucket is live).
-inline constexpr std::size_t kBatchHistBuckets = 8;
+/// Predicate over a base message type (notify/reply bits stripped); set by
+/// the OS layer from the msg_spec table so the substrate stays below the
+/// protocol in the layering.
+using MsgTypePredicate = bool (*)(std::uint32_t type);
 
 struct KernelStats {
   std::uint64_t messages_queued = 0;
@@ -87,11 +86,7 @@ struct KernelStats {
   std::uint64_t safecopy_bytes = 0;
   std::uint64_t grants_created = 0;
   // --- fast-path accounting (DESIGN.md §14) ---------------------------
-  std::uint64_t queue_high_water = 0;  // deepest the queue (ring + spill) ever got
-  std::uint64_t arena_spills = 0;      // enqueues that overflowed the ring to the heap
-  std::uint64_t batches = 0;           // dispatch batches of size >= 2
-  std::uint64_t batched_messages = 0;  // messages delivered inside those batches
-  std::uint64_t batch_hist[kBatchHistBuckets] = {};  // dispatch-group sizes (8 = 8+)
+  std::uint64_t queue_high_water = 0;  // deepest the message queue ever got
   std::uint64_t grant_bypass_bytes = 0;  // payload bytes moved via zero-copy spans
   std::uint64_t grant_spans = 0;         // zero-copy span handouts
   // --- physiological health / storm accounting (DESIGN.md §15) ---------
@@ -178,19 +173,13 @@ class Kernel {
   /// (stats().dispatch_aborts) so the run loop regains control. 0 = off.
   void set_dispatch_burst_cap(std::uint64_t cap) noexcept { burst_cap_ = cap; }
 
-  [[nodiscard]] bool queue_empty() const noexcept { return ring_size_ == 0 && queue_.empty(); }
+  [[nodiscard]] bool queue_empty() const noexcept { return queue_.empty(); }
 
   // --- fast path --------------------------------------------------------
 
-  /// Configure the IPC fast path. Call before traffic flows: enabling the
-  /// arena mid-stream is safe (the ring fills as the deque drains) but the
-  /// steady-state zero-allocation claim only holds from the next drain on.
-  void set_fastpath(const FastPath& f);
+  /// Configure the IPC fast path (read by the servers' bulk-payload paths).
+  void set_fastpath(const FastPath& f) noexcept { fast_ = f; }
   [[nodiscard]] const FastPath& fastpath() const noexcept { return fast_; }
-
-  /// Hook deciding which message types may share a dispatch batch; set by
-  /// the OS layer from the msg_spec class table. Unset means no batching.
-  void set_batch_eligible(BatchEligibleFn fn) noexcept { batch_eligible_ = fn; }
 
   // --- crash integration ------------------------------------------------
 
@@ -244,7 +233,7 @@ class Kernel {
   /// layer (heartbeat protocol traffic — the liveness substrate must stay
   /// truthful even while its sender is throttled, or dropping pongs would
   /// convert every throttle into a phantom hang). Unset means no exemption.
-  void set_throttle_exempt(BatchEligibleFn fn) noexcept { throttle_exempt_ = fn; }
+  void set_throttle_exempt(MsgTypePredicate fn) noexcept { throttle_exempt_ = fn; }
 
   // --- system lifecycle ---------------------------------------------------
 
@@ -282,9 +271,6 @@ class Kernel {
   void health_quantum_tick();
   void route_reply(Endpoint dst, Message reply);
   void enqueue(Endpoint dst, const Message& m);
-  bool pop_queued(Queued& out);
-  [[nodiscard]] const Queued* peek_queued() const;
-  void record_batch(std::size_t n);
   void handle_crash(const CrashContext& ctx);
   const Grant* check_grant(Endpoint grantee, GrantId id, std::size_t offset, std::size_t len,
                            Access need, std::int64_t* err) const;
@@ -292,20 +278,10 @@ class Kernel {
   VirtualClock& clock_;
   std::unordered_map<std::int32_t, ServerSlot> servers_;
   std::unordered_map<std::int32_t, IClient*> clients_;
-  // Arena fast path: ring_ is the fixed-capacity arena (allocated once in
-  // set_fastpath); queue_ doubles as the plain queue when the arena is off
-  // and as the overflow spill when it is on. Invariant with the arena on:
-  // every ring message is older than every spilled message, so pops drain
-  // the ring first and refill it from the spill — global FIFO order is
-  // preserved across overflow and back.
   std::deque<Queued> queue_;
-  std::vector<Queued> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
   FastPath fast_;
   std::uint64_t burst_cap_ = 0;
-  BatchEligibleFn batch_eligible_ = nullptr;
-  BatchEligibleFn throttle_exempt_ = nullptr;
+  MsgTypePredicate throttle_exempt_ = nullptr;
   std::unordered_map<GrantId, Grant> grants_;
   GrantId next_grant_ = 1;
   std::int32_t next_client_ep_ = kFirstUserEndpoint;

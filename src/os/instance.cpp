@@ -134,9 +134,6 @@ void OsInstance::boot() {
 
   kernel_ = std::make_unique<kernel::Kernel>(clock_);
   kernel_->set_fastpath(cfg_.fastpath);
-  // Batch eligibility is a pure derivation from the spec table's SEEP
-  // classes; the kernel only sees the predicate.
-  kernel_->set_batch_eligible(&servers::is_batch_eligible);
   kernel_->set_health(cfg_.health);
   kernel_->set_throttle_exempt(&servers::is_throttle_exempt);
   kernel_->set_dispatch_burst_cap(cfg_.max_dispatch_burst);

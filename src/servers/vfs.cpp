@@ -1102,9 +1102,8 @@ kernel::Message Vfs::fs_read(const Message& m, std::size_t file_idx) {
   // grant) falls back to the staging path, which reproduces the baseline
   // error codes exactly. The logical grant copy is noted at the same point
   // the staging path would safecopy, so traces are identical per flag.
-  const kernel::FastPath& fp = kern().fastpath();
   std::byte* dst = nullptr;
-  if (fp.zero_copy && len > fp.zero_copy_threshold) {
+  if (kern().fastpath().zero_copy && len > kernel::kZeroCopyThreshold) {
     std::int64_t err = OK;
     dst = kern().grant_span(endpoint(), m.arg[1], 0, len, kernel::Access::kWrite, &err);
   }
@@ -1136,9 +1135,8 @@ kernel::Message Vfs::fs_write(const Message& m, std::size_t file_idx) {
   // directly from the grant span; the logical copy is noted where the
   // staging path would safecopy_from (before the append probe and the
   // write), keeping event order identical across the flag.
-  const kernel::FastPath& fp = kern().fastpath();
   const std::byte* src = nullptr;
-  if (fp.zero_copy && len > fp.zero_copy_threshold) {
+  if (kern().fastpath().zero_copy && len > kernel::kZeroCopyThreshold) {
     std::int64_t err = OK;
     src = kern().grant_span(endpoint(), m.arg[1], 0, len, kernel::Access::kRead, &err);
     if (src != nullptr) kern().note_grant_bypass(endpoint(), len, /*dir: from grant*/ 0);

@@ -36,8 +36,8 @@ inline constexpr std::size_t kDefaultRingCapacity = 1024;
 
 class Tracer {
  public:
-  explicit Tracer(const VirtualClock& clock, std::size_t ring_capacity = kDefaultRingCapacity)
-      : clock_(clock), ring_capacity_(ring_capacity) {}
+  explicit Tracer(const VirtualClock& clock, std::size_t capacity = kDefaultRingCapacity)
+      : clock_(clock), ring_capacity_(capacity) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;

@@ -91,7 +91,7 @@ struct CampaignOptions {
   std::vector<std::string>* traces = nullptr;
   /// Kernel IPC fast-path flags for every run in the plan. Classifications
   /// and traces must be invariant under these (DESIGN.md §14) — campaigns
-  /// with batching or the arena on are how that is tested at scale.
+  /// with zero-copy on are how that is tested at scale.
   kernel::FastPath fastpath{};
   /// Run every injection with the VFS FOM executor (DESIGN.md §16): the
   /// multi-request rollback path is then what the campaign recovers through.

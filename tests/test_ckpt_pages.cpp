@@ -323,23 +323,6 @@ TEST(UndoLogPages, EmptyAndStatsMergePageTier) {
   EXPECT_GE(log.stats().page_bytes_logged, kPage);
 }
 
-TEST(UndoLogPages, CheckpointIfDirtySeesPageTier) {
-  // The lazy-checkpoint elision (DESIGN.md §14) may only skip when BOTH
-  // tiers are clean, or a dirty page would leak across a window boundary.
-  ckpt::UndoLog log;
-  ckpt::PageStore ps(tiny_pages());
-  Scratch s(1);
-  ps.register_region(s.data(), s.size());
-  log.attach_pages(&ps);
-
-  log.checkpoint_if_dirty();
-  EXPECT_EQ(log.stats().checkpoints_skipped, 1u);
-  ps.on_store(s.data(), 1, true);
-  log.checkpoint_if_dirty();  // page tier dirty: must be a real checkpoint
-  EXPECT_EQ(log.stats().checkpoints_skipped, 1u);
-  EXPECT_TRUE(ps.clean());
-}
-
 // --- PagedTable -------------------------------------------------------------
 
 TEST(PagedTable, RegionIsPageMultiple) {

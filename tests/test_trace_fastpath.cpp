@@ -1,20 +1,18 @@
 // Observational equivalence of the IPC fast path (DESIGN.md §14).
 //
-// The arena ring, send batching, and grant-based zero-copy are pure
-// mechanism: they may change *when* work happens inside the kernel, never
-// *what* the machine observably does. The deterministic tracer is the
+// Grant-based zero-copy is pure mechanism: it may change how bytes move
+// inside the kernel, never *what* the machine observably does. The deterministic tracer is the
 // instrument that pins this — every IPC delivery, checkpoint, window edge,
 // fault, and recovery step lands in the merged timeline, so "byte-identical
 // full trace" is the strongest equivalence check the simulator can express.
 //
 // Three layers of the claim:
 //   1. golden recovery scenarios (rollback, escalation ladder) traced with
-//      the fast path on vs off -> identical timelines, even across crashes
-//      that land mid-batch;
+//      zero-copy on vs off -> identical timelines, even across crashes;
 //   2. a bulk-I/O run where the zero-copy bypass demonstrably engages (the
 //      kernel counters say so) -> still identical;
-//   3. a traced fault-injection campaign with batching on, at --jobs=1 and
-//      --jobs=4 -> every per-injection trace matches the unbatched serial
+//   3. a traced fault-injection campaign with zero-copy on, at --jobs=1 and
+//      --jobs=4 -> every per-injection trace matches the flag-off serial
 //      reference byte for byte.
 #include <gtest/gtest.h>
 
@@ -98,12 +96,13 @@ std::vector<workload::Injection> thin(const std::vector<workload::Injection>& pl
   return out;
 }
 
+const kernel::FastPath kZeroCopy{.zero_copy = true};
+
 }  // namespace
 
 // --- Layer 1a: in-window crash + rollback, fast path on vs off --------------
 // The crash lands while the fast path is live, so recovery interleaves with
-// ring drains and (possibly) a partially delivered batch. The timeline must
-// not care.
+// zero-copy-configured traffic. The timeline must not care.
 TEST(TraceFastPath, RollbackRecoveryTraceIdenticalAcrossFlags) {
   FiGuard guard;
   fi::Site* site = busiest_site("pm", [](ISys& sys) {
@@ -117,22 +116,20 @@ TEST(TraceFastPath, RollbackRecoveryTraceIdenticalAcrossFlags) {
   };
 
   const FlaggedRun off = run_flagged(kernel::FastPath{}, nullptr, arm, body);
-  const FlaggedRun on = run_flagged(kernel::FastPath::all_on(), nullptr, arm, body);
+  const FlaggedRun on = run_flagged(kZeroCopy, nullptr, arm, body);
 
   ASSERT_EQ(off.outcome, OsInstance::Outcome::kCompleted);
   ASSERT_EQ(on.outcome, OsInstance::Outcome::kCompleted);
   ASSERT_FALSE(off.full_text.empty());
   EXPECT_EQ(off.full_text, on.full_text);
-  // Flag-off runs must never touch the optimized paths.
-  EXPECT_EQ(off.stats.arena_spills, 0u);
-  EXPECT_EQ(off.stats.batches, 0u);
+  // Flag-off runs must never touch the optimized path.
   EXPECT_EQ(off.stats.grant_bypass_bytes, 0u);
 }
 
 // --- Layer 1b: persistent fault climbing the ladder into quarantine ---------
 // Quarantine parks and readmissions reorder *work*, not messages; the ladder
-// rungs must fire at the same trace positions whichever queue implementation
-// carried the traffic there.
+// rungs must fire at the same trace positions whichever copy path carried
+// the traffic there.
 TEST(TraceFastPath, QuarantineLadderTraceIdenticalAcrossFlags) {
   FiGuard guard;
   fi::Site* site = busiest_site("ds", [](ISys& sys) {
@@ -152,7 +149,7 @@ TEST(TraceFastPath, QuarantineLadderTraceIdenticalAcrossFlags) {
   };
 
   const FlaggedRun off = run_flagged(kernel::FastPath{}, tweak, arm, body);
-  const FlaggedRun on = run_flagged(kernel::FastPath::all_on(), tweak, arm, body);
+  const FlaggedRun on = run_flagged(kZeroCopy, tweak, arm, body);
 
   ASSERT_EQ(off.outcome, OsInstance::Outcome::kCompleted);
   ASSERT_EQ(on.outcome, OsInstance::Outcome::kCompleted);
@@ -162,9 +159,9 @@ TEST(TraceFastPath, QuarantineLadderTraceIdenticalAcrossFlags) {
 
 // --- Layer 2: bulk I/O with the bypass demonstrably engaged -----------------
 // Writes and reads well past the inline-text threshold force the grant path;
-// the kernel counters prove the zero-copy bypass (and the lazy checkpoint
-// batching) actually ran in the "on" column, and the kGrantCopy trace events
-// it emits at the baseline safecopy points keep the timelines equal anyway.
+// the kernel counters prove the zero-copy bypass actually ran in the "on"
+// column, and the kGrantCopy trace events it emits at the baseline safecopy
+// points keep the timelines equal anyway.
 TEST(TraceFastPath, BulkFileIoTraceIdenticalWhileBypassEngages) {
   FiGuard guard;
   const ISys::ProcBody body = [](ISys& sys) {
@@ -178,7 +175,7 @@ TEST(TraceFastPath, BulkFileIoTraceIdenticalWhileBypassEngages) {
   };
 
   const FlaggedRun off = run_flagged(kernel::FastPath{}, nullptr, nullptr, body);
-  const FlaggedRun on = run_flagged(kernel::FastPath::all_on(), nullptr, nullptr, body);
+  const FlaggedRun on = run_flagged(kZeroCopy, nullptr, nullptr, body);
 
   ASSERT_EQ(off.outcome, OsInstance::Outcome::kCompleted);
   ASSERT_EQ(on.outcome, OsInstance::Outcome::kCompleted);
@@ -193,43 +190,44 @@ TEST(TraceFastPath, BulkFileIoTraceIdenticalWhileBypassEngages) {
   EXPECT_GT(off.stats.safecopy_bytes, on.stats.safecopy_bytes);
 }
 
-// --- Layer 3: batched traced campaign, serial and sharded -------------------
+// --- Layer 3: zero-copy traced campaign, serial and sharded -----------------
 // The strongest composite: fault injection across the whole varied plan, the
-// batching fast path on, and the worker pool sharding runs across threads.
-// Every captured trace must equal the unbatched serial reference — batching
-// is invisible even to a byte-exact observer, and --jobs stays a pure
-// implementation detail when the fast path is live.
-TEST(TraceFastPath, BatchedCampaignTracesMatchUnbatchedAcrossJobs) {
+// zero-copy fast path on (the FS suite's 1-5 KiB writes take the grant spans),
+// and the worker pool sharding runs across threads. Every captured trace must
+// equal the flag-off serial reference — zero-copy is invisible even to a
+// byte-exact observer, and --jobs stays a pure implementation detail when the
+// fast path is live.
+TEST(TraceFastPath, ZeroCopyCampaignTracesMatchBaselineAcrossJobs) {
   FiGuard guard;
   const auto plan = thin(workload::plan_failstop(/*points_per_site=*/1), 6);
   ASSERT_GE(plan.size(), 4u) << "thinned plan too small to exercise sharding";
 
   std::vector<std::string> ref_traces;
-  workload::CampaignOptions reference;  // unbatched serial baseline
+  workload::CampaignOptions reference;  // flag-off serial baseline
   reference.jobs = 1;
   reference.traces = &ref_traces;
 
   std::vector<std::string> serial_traces;
-  workload::CampaignOptions batched_serial;
-  batched_serial.jobs = 1;
-  batched_serial.traces = &serial_traces;
-  batched_serial.fastpath = kernel::FastPath::all_on();
+  workload::CampaignOptions zc_serial;
+  zc_serial.jobs = 1;
+  zc_serial.traces = &serial_traces;
+  zc_serial.fastpath = kZeroCopy;
 
   std::vector<std::string> par_traces;
-  workload::CampaignOptions batched_parallel;
-  batched_parallel.jobs = 4;
-  batched_parallel.traces = &par_traces;
-  batched_parallel.fastpath = kernel::FastPath::all_on();
+  workload::CampaignOptions zc_parallel;
+  zc_parallel.jobs = 4;
+  zc_parallel.traces = &par_traces;
+  zc_parallel.fastpath = kZeroCopy;
 
   const auto ref = workload::run_plan(seep::Policy::kEnhanced, plan, reference);
-  const auto ser = workload::run_plan(seep::Policy::kEnhanced, plan, batched_serial);
-  const auto par = workload::run_plan(seep::Policy::kEnhanced, plan, batched_parallel);
+  const auto ser = workload::run_plan(seep::Policy::kEnhanced, plan, zc_serial);
+  const auto par = workload::run_plan(seep::Policy::kEnhanced, plan, zc_parallel);
 
   ASSERT_EQ(ref_traces.size(), plan.size());
   ASSERT_EQ(serial_traces.size(), plan.size());
   ASSERT_EQ(par_traces.size(), plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    EXPECT_EQ(ref[i], ser[i]) << "injection " << i << " classified differently when batched";
+    EXPECT_EQ(ref[i], ser[i]) << "injection " << i << " classified differently with zero-copy";
     EXPECT_EQ(ref[i], par[i]) << "injection " << i << " classified differently at --jobs=4";
     EXPECT_EQ(ref_traces[i], serial_traces[i])
         << "injection " << i << " traced differently with the fast path on";

@@ -29,6 +29,10 @@ using osiris::os::ISys;
 using osiris::os::OsConfig;
 using osiris::os::OsInstance;
 
+// Offline exploration wants full retention, not the cache-sized in-sim
+// default: lose nothing unless the user shrinks the rings explicitly.
+constexpr std::size_t kDefaultRingEvents = 1u << 16;
+
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--scenario transient|ladder|hang|storm] [--text FILE] [--chrome FILE]\n"
@@ -45,10 +49,10 @@ int usage(const char* argv0) {
             << "                default when no --chrome is given)\n"
             << "  --chrome FILE write a Chrome trace_event JSON timeline to FILE\n"
             << "  --ring N      per-component ring capacity in events (default "
-            << osiris::trace::kDefaultRingCapacity << ")\n"
-            << "  --fastpath    run with the IPC fast path on (arena + batching +\n"
-            << "                zero-copy); the exported timeline must be identical\n"
-            << "                to the default run's — diff them to check\n";
+            << kDefaultRingEvents << ")\n"
+            << "  --fastpath    run with the IPC fast path (zero-copy) on; the exported\n"
+            << "                timeline must be identical to the default run's — diff\n"
+            << "                them to check\n";
   return 2;
 }
 
@@ -76,11 +80,11 @@ struct ScenarioResult {
   osiris::kernel::KernelStats kernel_stats;
 };
 
-ScenarioResult run_scenario(const std::string& name, std::size_t ring_capacity, bool fastpath) {
+ScenarioResult run_scenario(const std::string& name, std::size_t ring_events, bool fastpath) {
   OsConfig cfg;
   cfg.trace_enabled = true;
-  cfg.trace_ring_capacity = ring_capacity;
-  if (fastpath) cfg.fastpath = osiris::kernel::FastPath::all_on();
+  cfg.trace_ring_capacity = ring_events;
+  cfg.fastpath.zero_copy = fastpath;
 
   osiris::fi::Site* site = nullptr;
   ISys::ProcBody body;
@@ -169,9 +173,7 @@ int main(int argc, char** argv) {
   std::string text_path;
   std::string chrome_path;
   bool fastpath = false;
-  // Offline exploration wants full retention, not the cache-sized in-sim
-  // default: lose nothing unless the user shrinks the rings explicitly.
-  std::size_t ring_capacity = 1u << 16;
+  std::size_t ring_events = kDefaultRingEvents;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--chrome" && i + 1 < argc) {
       chrome_path = argv[++i];
     } else if (arg == "--ring" && i + 1 < argc) {
-      ring_capacity = static_cast<std::size_t>(std::stoull(argv[++i]));
+      ring_events = static_cast<std::size_t>(std::stoull(argv[++i]));
     } else if (arg == "--fastpath") {
       fastpath = true;
     } else {
@@ -193,7 +195,7 @@ int main(int argc, char** argv) {
 
   ScenarioResult result;
   try {
-    result = run_scenario(scenario, ring_capacity, fastpath);
+    result = run_scenario(scenario, ring_events, fastpath);
   } catch (const std::exception& e) {
     std::cerr << "osiris-trace: " << e.what() << '\n';
     return 2;
@@ -212,8 +214,7 @@ int main(int argc, char** argv) {
   std::cerr << "osiris-trace: scenario=" << scenario
             << " outcome=" << OsInstance::outcome_name(result.outcome)
             << " fastpath=" << (fastpath ? "on" : "off") << " queue-hw=" << ks.queue_high_water
-            << " spills=" << ks.arena_spills << " batches=" << ks.batches << "/"
-            << ks.batched_messages << " zero-copy-bytes=" << ks.grant_bypass_bytes
+            << " zero-copy-bytes=" << ks.grant_bypass_bytes
             << " fevers=" << ks.fever_onsets << " throttled-drops=" << ks.throttled_drops
             << '\n';
   return result.outcome == OsInstance::Outcome::kCompleted ? 0 : 3;
