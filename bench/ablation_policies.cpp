@@ -7,13 +7,12 @@
 // Environment: OSIRIS_SAMPLE thins the survivability plan (default 3);
 // OSIRIS_JOBS / --jobs=N shards the campaign (default 1; 0 = all cores).
 #include <cstdio>
-#include <cstdlib>
 
 #include "campaign_cli.hpp"
+#include "core/metrics.hpp"
 #include "support/table_printer.hpp"
 #include "support/worker_pool.hpp"
 #include "workload/campaign.hpp"
-#include "workload/coverage.hpp"
 
 using namespace osiris;
 using namespace osiris::workload;
@@ -26,34 +25,26 @@ int main(int argc, char** argv) {
   // The three coverage suites are independent simulators: shard them too.
   const seep::Policy cov_policies[] = {seep::Policy::kPessimistic, seep::Policy::kEnhanced,
                                        seep::Policy::kExtended};
-  CoverageReport cov_reports[3];
+  core::SystemMetrics cov[3];
   support::WorkerPool::run_indexed(3, opts.jobs, [&](std::size_t i) {
-    cov_reports[i] = measure_coverage(cov_policies[i]);
+    cov[i] = core::measure_coverage(cov_policies[i]);
   });
-  const auto& pess = cov_reports[0];
-  const auto& enh = cov_reports[1];
-  const auto& ext = cov_reports[2];
 
-  TablePrinter cov({"Server", "Pessimistic", "Enhanced", "Extended (SVII)"});
-  for (std::size_t i = 0; i < pess.servers.size(); ++i) {
-    cov.add_row({pess.servers[i].server, TablePrinter::pct(pess.servers[i].coverage),
-                 TablePrinter::pct(enh.servers[i].coverage),
-                 TablePrinter::pct(ext.servers[i].coverage)});
+  TablePrinter table({"Server", "Pessimistic", "Enhanced", "Extended (SVII)"});
+  for (std::size_t i = 0; i < cov[0].components.size(); ++i) {
+    table.add_row({cov[0].components[i].name,
+                   TablePrinter::pct(cov[0].components[i].window.coverage()),
+                   TablePrinter::pct(cov[1].components[i].window.coverage()),
+                   TablePrinter::pct(cov[2].components[i].window.coverage())});
   }
-  cov.add_separator();
-  cov.add_row({"weighted mean", TablePrinter::pct(pess.weighted_mean),
-               TablePrinter::pct(enh.weighted_mean), TablePrinter::pct(ext.weighted_mean)});
-  cov.print();
+  table.add_separator();
+  table.add_row({"weighted mean", TablePrinter::pct(cov[0].weighted_coverage),
+                 TablePrinter::pct(cov[1].weighted_coverage),
+                 TablePrinter::pct(cov[2].weighted_coverage)});
+  table.print();
 
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 3;
-  std::vector<Injection> plan;
-  {
-    const auto full = plan_failstop(3);
-    for (std::size_t i = 0; i < full.size(); i += static_cast<std::size_t>(sample)) {
-      plan.push_back(full[i]);
-    }
-  }
+  const std::vector<Injection> plan =
+      bench::every_nth(plan_failstop(3), bench::sample_stride(/*def=*/3));
   std::printf("\nfail-stop survivability on a thinned plan (%zu injections):\n\n", plan.size());
   TablePrinter surv({"Policy", "Pass", "Fail", "Shutdown", "Crash"});
   for (auto policy : {seep::Policy::kEnhanced, seep::Policy::kExtended}) {

@@ -29,15 +29,9 @@ int main(int argc, char** argv) {
   const int points = std::getenv("OSIRIS_POINTS_PER_SITE")
                          ? std::atoi(std::getenv("OSIRIS_POINTS_PER_SITE"))
                          : 3;
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 1;
 
-  std::vector<Injection> plan = plan_failstop(points);
-  if (sample > 1) {
-    std::vector<Injection> sampled;
-    for (std::size_t i = 0; i < plan.size(); i += sample) sampled.push_back(plan[i]);
-    plan = std::move(sampled);
-  }
+  const std::vector<Injection> plan =
+      bench::every_nth(plan_failstop(points), bench::sample_stride());
   std::printf("Table II — survivability under fail-stop fault injection\n");
   std::printf("(%zu injections per policy; the same plan applied to every policy)\n\n",
               plan.size());

@@ -29,15 +29,9 @@ int main(int argc, char** argv) {
                            : 2;
   const std::uint64_t seed =
       std::getenv("OSIRIS_SEED") ? std::strtoull(std::getenv("OSIRIS_SEED"), nullptr, 10) : 316;
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 1;
 
-  std::vector<Injection> plan = plan_edfi(seed, per_site);
-  if (sample > 1) {
-    std::vector<Injection> sampled;
-    for (std::size_t i = 0; i < plan.size(); i += sample) sampled.push_back(plan[i]);
-    plan = std::move(sampled);
-  }
+  const std::vector<Injection> plan =
+      bench::every_nth(plan_edfi(seed, per_site), bench::sample_stride());
   std::printf("Table III — survivability under full EDFI fault injection\n");
   std::printf("(%zu injections per policy, mixed fault types, seed %llu)\n\n", plan.size(),
               static_cast<unsigned long long>(seed));

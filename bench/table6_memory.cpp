@@ -9,7 +9,7 @@
 // reproduces.
 #include <cstdio>
 
-#include "os/instance.hpp"
+#include "core/metrics.hpp"
 #include "support/table_printer.hpp"
 #include "workload/unixbench.hpp"
 
@@ -48,25 +48,22 @@ Totals run_config(const os::OsConfig& cfg, bool with_pages_columns) {
   headers.push_back("Total overhead");
   TablePrinter table(headers);
   Totals t;
-  for (recovery::Recoverable* comp : inst.components()) {
-    const std::size_t base = comp->data_section_size();
-    const std::size_t clone = inst.engine().clone_bytes(comp->endpoint());
-    const std::size_t log = comp->ckpt_context().log().stats().max_log_bytes;
-    const std::size_t aux = comp->aux_section_size();
-    const ckpt::PageStore* ps = comp->page_store();
-    const std::size_t snaps = ps != nullptr ? ps->stats().max_resident_bytes : 0;
-    t.base += base;
-    t.clone += clone;
+  const core::SystemMetrics m = core::collect_metrics(inst);
+  for (const core::ComponentMetrics& c : m.components) {
+    const std::size_t log = c.log.max_log_bytes;
+    const std::size_t snaps = c.max_page_snapshot_bytes;
+    t.base += c.state_bytes;
+    t.clone += c.clone_bytes;
     t.log += log;
-    t.aux += aux;
+    t.aux += c.aux_bytes;
     t.snaps += snaps;
-    std::vector<std::string> row = {std::string(comp->name()), std::to_string(base),
-                                    std::to_string(clone), std::to_string(log)};
+    std::vector<std::string> row = {c.name, std::to_string(c.state_bytes),
+                                    std::to_string(c.clone_bytes), std::to_string(log)};
     if (with_pages_columns) {
-      row.push_back(std::to_string(aux));
+      row.push_back(std::to_string(c.aux_bytes));
       row.push_back(std::to_string(snaps));
     }
-    row.push_back(std::to_string(clone + log + snaps));
+    row.push_back(std::to_string(c.clone_bytes + log + snaps));
     table.add_row(row);
   }
   table.add_separator();

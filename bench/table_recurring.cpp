@@ -16,7 +16,6 @@
 //   OSIRIS_SAMPLE           keep only every Nth injection (default 1 = all)
 //   OSIRIS_JOBS / --jobs=N  worker threads (default 1; 0 = all cores)
 #include <cstdio>
-#include <cstdlib>
 
 #include "campaign_cli.hpp"
 #include "support/table_printer.hpp"
@@ -28,15 +27,9 @@ using namespace osiris::workload;
 int main(int argc, char** argv) {
   CampaignOptions opts;
   opts.jobs = bench::parse_jobs(argc, argv);
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 1;
 
-  std::vector<Injection> plan = plan_recurring();
-  if (sample > 1) {
-    std::vector<Injection> sampled;
-    for (std::size_t i = 0; i < plan.size(); i += sample) sampled.push_back(plan[i]);
-    plan = std::move(sampled);
-  }
+  const std::vector<Injection> plan =
+      bench::every_nth(plan_recurring(), bench::sample_stride());
   std::printf("Recurring-fault survivability (persistent bugs, escalation ladder)\n");
   std::printf("(%zu injections per policy; the same plan applied to every policy)\n\n",
               plan.size());

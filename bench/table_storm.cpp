@@ -20,7 +20,6 @@
 //   OSIRIS_JOBS / --jobs=N  worker threads (default 1; 0 = all cores)
 //   --out FILE.json         machine-readable results (BENCH_storm.json)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -86,8 +85,7 @@ std::string fmt1(double v) {
 int main(int argc, char** argv) {
   CampaignOptions opts;
   opts.jobs = bench::parse_jobs(argc, argv);
-  const int sample =
-      std::getenv("OSIRIS_SAMPLE") ? std::atoi(std::getenv("OSIRIS_SAMPLE")) : 1;
+  const std::size_t sample = bench::sample_stride();
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out_path = argv[i + 1];
@@ -99,7 +97,7 @@ int main(int argc, char** argv) {
     // column must never be vacuously zero.
     std::vector<StormInjection> sampled;
     for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (plan[i].site == nullptr || i % static_cast<std::size_t>(sample) == 0) {
+      if (plan[i].site == nullptr || i % sample == 0) {
         sampled.push_back(plan[i]);
       }
     }
@@ -148,7 +146,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"bench\": \"table_storm\",\n  \"policy\": \"%s\",\n",
                  seep::policy_name(policy));
-    std::fprintf(f, "  \"runs\": %zu,\n  \"sample\": %d,\n  \"types\": [\n", plan.size(),
+    std::fprintf(f, "  \"runs\": %zu,\n  \"sample\": %zu,\n  \"types\": [\n", plan.size(),
                  sample);
     const TypeTotals* rows[] = {&spin, &flood, &control};
     const char* names[] = {"handler-spin", "channel-flood", "control"};

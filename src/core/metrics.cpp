@@ -1,6 +1,5 @@
 #include "core/metrics.hpp"
 
-#include "servers/fom.hpp"
 #include "support/table_printer.hpp"
 
 namespace osiris::core {
@@ -12,33 +11,16 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
   for (recovery::Recoverable* comp : inst.components()) {
     ComponentMetrics cm;
     cm.name = std::string(comp->name());
-    const seep::WindowStats& ws = comp->window().stats();
-    cm.recovery_coverage = ws.coverage();
-    cm.windows_opened = ws.opened;
-    cm.closed_by_seep = ws.closed_by_seep;
-    cm.closed_by_yield = ws.closed_by_yield;
+    cm.window = comp->window().stats();
+    cm.log = comp->ckpt_context().log().stats();
+    if (const servers::FomStats* fs = comp->fom_stats()) cm.fom = *fs;
     cm.state_bytes = comp->data_section_size();
     cm.clone_bytes = inst.engine().clone_bytes(comp->endpoint());
-    const ckpt::UndoLogStats& ls = comp->ckpt_context().log().stats();
-    cm.max_undo_log_bytes = ls.max_log_bytes;
-    cm.undo_records = ls.records;
     cm.aux_bytes = comp->aux_section_size();
-    cm.page_records = ls.page_records;
-    cm.page_bytes_logged = ls.page_bytes_logged;
-    cm.page_compactions = ls.page_compactions;
-    cm.compacted_bytes = ls.compacted_bytes;
-    cm.delta_restart_bytes = ls.delta_restart_bytes;
-    cm.full_copy_bytes = ls.full_copy_bytes;
-    cm.recoveries = inst.engine().recoveries_of(comp->endpoint());
-    if (const servers::FomStats* fs = comp->fom_stats()) {
-      cm.fom_admitted = fs->admitted;
-      cm.fom_parks = fs->parks;
-      cm.fom_resumes = fs->resumes;
-      cm.fom_aborts = fs->aborts;
-      cm.fom_sync_fallbacks = fs->sync_fallbacks;
-      cm.fom_in_flight_high_water = fs->in_flight_high_water;
-      cm.fom_wait_ticks = fs->wait_ticks_total;
+    if (const ckpt::PageStore* ps = comp->page_store()) {
+      cm.max_page_snapshot_bytes = ps->stats().max_resident_bytes;
     }
+    cm.recoveries = inst.engine().recoveries_of(comp->endpoint());
 #if OSIRIS_TRACE_ENABLED
     if (const trace::Tracer* tracer = inst.tracer()) {
       if (const trace::EventRing* ring = tracer->ring(comp->endpoint().value)) {
@@ -48,41 +30,14 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
       }
     }
 #endif
-    const std::uint64_t hits = ws.probe_hits_inside + ws.probe_hits_outside;
+    const std::uint64_t hits = cm.window.probe_hits_inside + cm.window.probe_hits_outside;
     total_hits += hits;
-    weighted += ws.coverage() * static_cast<double>(hits);
+    weighted += cm.window.coverage() * static_cast<double>(hits);
     m.components.push_back(std::move(cm));
   }
   m.weighted_coverage = total_hits > 0 ? weighted / static_cast<double>(total_hits) : 0.0;
-
-  const kernel::KernelStats& ks = inst.kern().stats();
-  m.messages = ks.messages_queued;
-  m.nested_calls = ks.nested_calls;
-  m.crashes = ks.crashes;
-  m.hangs = ks.hangs;
-
-  m.queue_high_water = ks.queue_high_water;
-  m.safecopy_bytes = ks.safecopy_bytes;
-  m.grant_bypass_bytes = ks.grant_bypass_bytes;
-  m.grant_spans = ks.grant_spans;
-
-  m.health_charges = ks.health_charges;
-  m.fever_onsets = ks.fever_onsets;
-  m.throttled_drops = ks.throttled_drops;
-  m.starved_quanta = ks.starved_quanta;
-  m.dispatch_aborts = ks.dispatch_aborts;
-
-  const recovery::EngineStats& es = inst.engine().stats();
-  m.restarts = es.restarts;
-  m.rollbacks = es.rollbacks;
-  m.error_replies = es.error_replies;
-  m.shutdowns = es.shutdowns;
-  m.fom_reconciles = es.fom_reconciles;
-  m.storm_throttles = es.storm_throttles;
-  m.storm_quarantines = es.storm_quarantines;
-  m.detection_latency_ticks = es.detection_latency_ticks;
-  m.storm_detected = es.storm_detected;
-
+  m.kernel = inst.kern().stats();
+  m.engine = inst.engine().stats();
   m.classification_defaults = inst.classification().default_lookups();
 
 #if OSIRIS_TRACE_ENABLED
@@ -95,6 +50,17 @@ SystemMetrics collect_metrics(os::OsInstance& inst) {
   return m;
 }
 
+SystemMetrics measure_coverage(seep::Policy policy, workload::SuiteResult* suite) {
+  os::OsConfig cfg;
+  cfg.policy = policy;
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  const workload::SuiteResult result = workload::run_suite(inst);
+  if (suite != nullptr) *suite = result;
+  return collect_metrics(inst);
+}
+
 std::string SystemMetrics::report() const {
   std::vector<std::string> headers = {"Component", "Coverage", "Windows", "Closed(SEEP/yield)",
                                       "State B", "Clone B", "MaxLog B", "Recoveries"};
@@ -105,63 +71,67 @@ std::string SystemMetrics::report() const {
   TablePrinter t(headers);
   for (const ComponentMetrics& c : components) {
     std::vector<std::string> row = {
-        c.name, TablePrinter::pct(c.recovery_coverage), std::to_string(c.windows_opened),
-        std::to_string(c.closed_by_seep) + "/" + std::to_string(c.closed_by_yield),
+        c.name, TablePrinter::pct(c.window.coverage()), std::to_string(c.window.opened),
+        std::to_string(c.window.closed_by_seep) + "/" + std::to_string(c.window.closed_by_yield),
         std::to_string(c.state_bytes), std::to_string(c.clone_bytes),
-        std::to_string(c.max_undo_log_bytes), std::to_string(c.recoveries)};
+        std::to_string(c.log.max_log_bytes), std::to_string(c.recoveries)};
     if (trace_active) {
       row.push_back(std::to_string(c.trace_high_water));
       row.push_back(std::to_string(c.trace_dropped));
     }
     t.add_row(std::move(row));
   }
+  const kernel::KernelStats& k = kernel;
+  const recovery::EngineStats& e = engine;
   std::string out = t.str();
   out += "weighted coverage: " + TablePrinter::pct(weighted_coverage) + "\n";
-  out += "kernel: " + std::to_string(messages) + " messages, " + std::to_string(nested_calls) +
-         " nested calls, " + std::to_string(crashes) + " crashes, " + std::to_string(hangs) +
-         " hangs\n";
-  out += "fastpath: queue high-water " + std::to_string(queue_high_water) + ", " +
-         std::to_string(safecopy_bytes) + " B safecopied, " +
-         std::to_string(grant_bypass_bytes) + " B zero-copy over " +
-         std::to_string(grant_spans) + " spans\n";
-  out += "engine: " + std::to_string(restarts) + " restarts, " + std::to_string(rollbacks) +
-         " rollbacks, " + std::to_string(error_replies) + " error replies, " +
-         std::to_string(shutdowns) + " shutdowns\n";
+  out += "kernel: " + std::to_string(k.messages_queued) + " messages, " +
+         std::to_string(k.nested_calls) + " nested calls, " + std::to_string(k.crashes) +
+         " crashes, " + std::to_string(k.hangs) + " hangs\n";
+  out += "fastpath: queue high-water " + std::to_string(k.queue_high_water) + ", " +
+         std::to_string(k.safecopy_bytes) + " B safecopied, " +
+         std::to_string(k.grant_bypass_bytes) + " B zero-copy over " +
+         std::to_string(k.grant_spans) + " spans\n";
+  out += "engine: " + std::to_string(e.restarts) + " restarts, " + std::to_string(e.rollbacks) +
+         " rollbacks, " + std::to_string(e.error_replies) + " error replies, " +
+         std::to_string(e.shutdowns) + " shutdowns\n";
   out += "classification: " + std::to_string(classification_defaults) +
          " default-trait lookups\n";
   for (const ComponentMetrics& c : components) {
-    if (c.fom_admitted == 0) continue;
-    out += "fom[" + c.name + "]: " + std::to_string(c.fom_admitted) + " admitted, " +
-           std::to_string(c.fom_parks) + " parks, " + std::to_string(c.fom_resumes) +
-           " resumes, " + std::to_string(c.fom_aborts) + " aborts, " +
-           std::to_string(c.fom_sync_fallbacks) + " sync fallbacks, high-water " +
-           std::to_string(c.fom_in_flight_high_water) + ", " +
-           std::to_string(c.fom_wait_ticks) + " wait ticks";
-    if (fom_reconciles > 0) out += ", " + std::to_string(fom_reconciles) + " reconciles";
+    if (c.fom.admitted == 0) continue;
+    out += "fom[" + c.name + "]: " + std::to_string(c.fom.admitted) + " admitted, " +
+           std::to_string(c.fom.parks) + " parks, " + std::to_string(c.fom.resumes) +
+           " resumes, " + std::to_string(c.fom.aborts) + " aborts, " +
+           std::to_string(c.fom.sync_fallbacks) + " sync fallbacks, high-water " +
+           std::to_string(c.fom.in_flight_high_water) + ", " +
+           std::to_string(c.fom.wait_ticks_total) + " wait ticks";
+    if (e.fom_reconciles > 0) out += ", " + std::to_string(e.fom_reconciles) + " reconciles";
     out += "\n";
   }
   for (const ComponentMetrics& c : components) {
     // Printed only for page-tier components so the default (flag-off) report
-    // stays byte-identical, like the fom[] and health lines above.
-    if (c.aux_bytes == 0 && c.page_records == 0) continue;
+    // stays byte-identical, like the fom[] and health lines.
+    if (c.aux_bytes == 0 && c.log.page_records == 0) continue;
     out += "pages[" + c.name + "]: " + std::to_string(c.aux_bytes) + " B aux, " +
-           std::to_string(c.page_records) + " page records (" +
-           std::to_string(c.page_bytes_logged) + " B), " +
-           std::to_string(c.page_compactions) + " compactions (" +
-           std::to_string(c.compacted_bytes) + " B), restart delta " +
-           std::to_string(c.delta_restart_bytes) + " B vs full " +
-           std::to_string(c.full_copy_bytes) + " B\n";
+           std::to_string(c.log.page_records) + " page records (" +
+           std::to_string(c.log.page_bytes_logged) + " B), " +
+           std::to_string(c.log.page_compactions) + " compactions (" +
+           std::to_string(c.log.compacted_bytes) + " B), restart delta " +
+           std::to_string(c.log.delta_restart_bytes) + " B vs full " +
+           std::to_string(c.log.full_copy_bytes) + " B\n";
   }
-  if (fever_onsets > 0 || health_charges > 0 || storm_throttles > 0 || dispatch_aborts > 0) {
-    out += "health: " + std::to_string(health_charges) + " charges, " +
-           std::to_string(fever_onsets) + " fever onsets, " + std::to_string(throttled_drops) +
-           " throttled drops, " + std::to_string(starved_quanta) + " starved quanta, " +
-           std::to_string(storm_throttles) + " throttles, " + std::to_string(storm_quarantines) +
-           " storm quarantines";
-    if (storm_detected) {
-      out += ", detection latency " + std::to_string(detection_latency_ticks) + " ticks";
+  if (k.fever_onsets > 0 || k.health_charges > 0 || e.storm_throttles > 0 ||
+      k.dispatch_aborts > 0) {
+    out += "health: " + std::to_string(k.health_charges) + " charges, " +
+           std::to_string(k.fever_onsets) + " fever onsets, " +
+           std::to_string(k.throttled_drops) + " throttled drops, " +
+           std::to_string(k.starved_quanta) + " starved quanta, " +
+           std::to_string(e.storm_throttles) + " throttles, " +
+           std::to_string(e.storm_quarantines) + " storm quarantines";
+    if (e.storm_detected) {
+      out += ", detection latency " + std::to_string(e.detection_latency_ticks) + " ticks";
     }
-    if (dispatch_aborts > 0) out += ", " + std::to_string(dispatch_aborts) + " dispatch aborts";
+    if (k.dispatch_aborts > 0) out += ", " + std::to_string(k.dispatch_aborts) + " dispatch aborts";
     out += "\n";
   }
   if (trace_active) {

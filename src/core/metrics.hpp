@@ -1,45 +1,35 @@
 // System-wide metrics snapshot: one structure aggregating everything the
 // paper's evaluation measures, collected from a live (or finished) machine.
+//
+// Each counter is defined once, in its subsystem's stats struct; the snapshot
+// holds those structs by value and adds only what has no stats struct of its
+// own (sizes, per-component recovery counts, trace-ring health).
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "ckpt/undo_log.hpp"
+#include "kernel/kernel.hpp"
 #include "os/instance.hpp"
+#include "recovery/engine.hpp"
+#include "seep/policy.hpp"
+#include "seep/window.hpp"
+#include "servers/fom.hpp"
+#include "workload/suite.hpp"
 
 namespace osiris::core {
 
 struct ComponentMetrics {
   std::string name;
-  double recovery_coverage = 0.0;     // Table I quantity
-  std::uint64_t windows_opened = 0;
-  std::uint64_t closed_by_seep = 0;
-  std::uint64_t closed_by_yield = 0;
-  std::size_t state_bytes = 0;        // Table VI "base"
-  std::size_t clone_bytes = 0;        // Table VI "+clone"
-  std::size_t max_undo_log_bytes = 0;  // Table VI "+undo log"
-  std::uint64_t undo_records = 0;
+  seep::WindowStats window;  // window.coverage() is the Table I quantity
+  ckpt::UndoLogStats log;    // log.max_log_bytes is Table VI "+undo log"
+  servers::FomStats fom;     // zero unless the component runs the FOM executor
+  std::size_t state_bytes = 0;  // Table VI "base"
+  std::size_t clone_bytes = 0;  // Table VI "+clone"
+  std::size_t aux_bytes = 0;    // heap-backed recoverable region (DESIGN.md §17)
+  std::size_t max_page_snapshot_bytes = 0;  // Table VI.b "+page snaps (max)"
   std::uint32_t recoveries = 0;
-
-  // Page tier (DESIGN.md §17): all zero unless the component has a PageStore
-  // attached (cfg.ckpt_pages.enabled plus an aux region).
-  std::size_t aux_bytes = 0;              // heap-backed recoverable region size
-  std::uint64_t page_records = 0;         // CoW page snapshots captured
-  std::uint64_t page_bytes_logged = 0;    // pre-image bytes captured
-  std::uint64_t page_compactions = 0;     // incremental snapshot-retire steps
-  std::uint64_t compacted_bytes = 0;      // snapshot bytes recycled by compaction
-  std::uint64_t delta_restart_bytes = 0;  // restart bytes moved as dirty pages
-  std::uint64_t full_copy_bytes = 0;      // what whole-image restarts would move
-
-  // FOM executor (DESIGN.md §16): all zero unless the component runs the
-  // executor (cfg.vfs_fom) and requests actually parked mid-flight.
-  std::uint64_t fom_admitted = 0;
-  std::uint64_t fom_parks = 0;
-  std::uint64_t fom_resumes = 0;
-  std::uint64_t fom_aborts = 0;
-  std::uint64_t fom_sync_fallbacks = 0;
-  std::uint64_t fom_in_flight_high_water = 0;
-  std::uint64_t fom_wait_ticks = 0;
 
   // Event tracing (zero unless the run had cfg.trace_enabled on an
   // OSIRIS_TRACE=ON build): flight-recorder health per component.
@@ -50,40 +40,9 @@ struct ComponentMetrics {
 
 struct SystemMetrics {
   std::vector<ComponentMetrics> components;
-  double weighted_coverage = 0.0;
-
-  // kernel substrate
-  std::uint64_t messages = 0;
-  std::uint64_t nested_calls = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t hangs = 0;
-
-  // IPC fast path (DESIGN.md §14): queue depth and copy accounting.
-  // grant_bypass_bytes and grant_spans stay zero unless zero_copy is on.
-  std::uint64_t queue_high_water = 0;
-  std::uint64_t safecopy_bytes = 0;
-  std::uint64_t grant_bypass_bytes = 0;
-  std::uint64_t grant_spans = 0;
-
-  // recovery engine
-  std::uint64_t restarts = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t error_replies = 0;
-  std::uint64_t shutdowns = 0;
-  std::uint64_t fom_reconciles = 0;  // windowed recoveries reconciled by the FOM executor
-
-  // Physiological health monitor + storm rung (DESIGN.md §15). All zero when
-  // cfg.health.enabled is off (the default), except health_charges which
-  // stays zero anyway because the monitor never samples.
-  std::uint64_t health_charges = 0;    // deliveries charged as non-useful
-  std::uint64_t fever_onsets = 0;      // quanta where an endpoint crossed the fever threshold
-  std::uint64_t throttled_drops = 0;   // deliveries dropped past a throttled sender's allowance
-  std::uint64_t starved_quanta = 0;    // quanta where charged work dominated useful work
-  std::uint64_t dispatch_aborts = 0;   // livelock-valve trips (cleared backlog)
-  std::uint64_t storm_throttles = 0;   // fever onsets answered with a throttle
-  std::uint64_t storm_quarantines = 0; // fevers persisting under throttle
-  std::uint64_t detection_latency_ticks = 0;  // storm onset -> throttle (first detection)
-  bool storm_detected = false;         // detection_latency_ticks is valid
+  kernel::KernelStats kernel;
+  recovery::EngineStats engine;
+  double weighted_coverage = 0.0;  // per-component coverage weighted by probe hits
 
   // SEEP classification health: how many lookups fell back to the
   // conservative default because the type was absent from the spec table.
@@ -102,5 +61,9 @@ struct SystemMetrics {
 
 /// Snapshot all metrics from a machine (typically after run()).
 SystemMetrics collect_metrics(os::OsInstance& inst);
+
+/// Table I: boot a machine under `policy`, run the prototype test suite as
+/// init and snapshot it. `suite`, when given, receives the suite's verdict.
+SystemMetrics measure_coverage(seep::Policy policy, workload::SuiteResult* suite = nullptr);
 
 }  // namespace osiris::core

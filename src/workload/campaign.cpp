@@ -26,6 +26,27 @@ SuiteResult run_suite_fresh(seep::Policy policy) {
   return run_suite(inst);
 }
 
+/// Run `one(i)` for every index of an n-entry plan on `opts.jobs` workers
+/// and report progress. Results land in plan order whatever the jobs count.
+template <typename Result, typename Fn>
+std::vector<Result> run_indexed_plan(std::size_t n, const Result& init,
+                                     const CampaignOptions& opts, Fn one) {
+  std::vector<Result> results(n, init);
+  int done = 0;
+  std::mutex progress_mu;
+  support::WorkerPool::run_indexed(n, opts.jobs, [&](std::size_t i) {
+    // Workers write disjoint, pre-sized slots: no lock needed.
+    results[i] = one(i);
+    if (opts.progress) {
+      // Increment under the same lock as the callback so `done` is
+      // strictly monotonic in call order, not just in total.
+      const std::lock_guard<std::mutex> lock(progress_mu);
+      opts.progress(++done, static_cast<int>(n));
+    }
+  });
+  return results;
+}
+
 }  // namespace
 
 std::vector<std::pair<fi::Site*, std::uint64_t>> profile_sites() {
@@ -141,24 +162,11 @@ unsigned campaign_jobs(unsigned requested) {
 
 std::vector<RunClass> run_plan(seep::Policy policy, const std::vector<Injection>& plan,
                                const CampaignOptions& opts) {
-  std::vector<RunClass> classes(plan.size(), RunClass::kCrash);
   if (opts.traces != nullptr) opts.traces->assign(plan.size(), std::string());
-  int done = 0;
-  std::mutex progress_mu;
-
-  support::WorkerPool::run_indexed(
-      plan.size(), opts.jobs, [&](std::size_t i) {
-        // Workers write disjoint, pre-sized slots: no lock needed.
-        std::string* trace_out = opts.traces != nullptr ? &(*opts.traces)[i] : nullptr;
-        classes[i] = run_one_injection(policy, plan[i], trace_out, opts);
-        if (opts.progress) {
-          // Increment under the same lock as the callback so `done` is
-          // strictly monotonic in call order, not just in total.
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, static_cast<int>(plan.size()));
-        }
-      });
-  return classes;
+  return run_indexed_plan(plan.size(), RunClass::kCrash, opts, [&](std::size_t i) {
+    std::string* trace_out = opts.traces != nullptr ? &(*opts.traces)[i] : nullptr;
+    return run_one_injection(policy, plan[i], trace_out, opts);
+  });
 }
 
 CampaignTotals run_campaign(seep::Policy policy, const std::vector<Injection>& plan,
@@ -225,19 +233,8 @@ RecurringClass run_one_recurring(seep::Policy policy, const Injection& inj) {
 std::vector<RecurringClass> run_recurring_plan(seep::Policy policy,
                                                const std::vector<Injection>& plan,
                                                const CampaignOptions& opts) {
-  std::vector<RecurringClass> classes(plan.size(), RecurringClass::kWedged);
-  int done = 0;
-  std::mutex progress_mu;
-
-  support::WorkerPool::run_indexed(
-      plan.size(), opts.jobs, [&](std::size_t i) {
-        classes[i] = run_one_recurring(policy, plan[i]);
-        if (opts.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, static_cast<int>(plan.size()));
-        }
-      });
-  return classes;
+  return run_indexed_plan(plan.size(), RecurringClass::kWedged, opts,
+                          [&](std::size_t i) { return run_one_recurring(policy, plan[i]); });
 }
 
 RecurringTotals run_recurring_campaign(seep::Policy policy,
@@ -372,19 +369,8 @@ StormResult run_one_storm(seep::Policy policy, const StormInjection& s) {
 std::vector<StormResult> run_storm_plan(seep::Policy policy,
                                         const std::vector<StormInjection>& plan,
                                         const CampaignOptions& opts) {
-  std::vector<StormResult> results(plan.size());
-  int done = 0;
-  std::mutex progress_mu;
-
-  support::WorkerPool::run_indexed(
-      plan.size(), opts.jobs, [&](std::size_t i) {
-        results[i] = run_one_storm(policy, plan[i]);
-        if (opts.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          opts.progress(++done, static_cast<int>(plan.size()));
-        }
-      });
-  return results;
+  return run_indexed_plan(plan.size(), StormResult{}, opts,
+                          [&](std::size_t i) { return run_one_storm(policy, plan[i]); });
 }
 
 StormTotals run_storm_campaign(seep::Policy policy, const std::vector<StormInjection>& plan,

@@ -15,23 +15,11 @@
 #include <string_view>
 #include <vector>
 
+#include "campaign_cli.hpp"
 #include "support/worker_pool.hpp"
 #include "workload/campaign.hpp"
 
 using namespace osiris;
-
-namespace {
-
-/// Every k-th injection of a full plan — preserves the site/type/trigger
-/// variety while keeping the test seconds-scale.
-std::vector<workload::Injection> thin(const std::vector<workload::Injection>& plan,
-                                      std::size_t stride) {
-  std::vector<workload::Injection> out;
-  for (std::size_t i = 0; i < plan.size(); i += stride) out.push_back(plan[i]);
-  return out;
-}
-
-}  // namespace
 
 TEST(WorkerPool, ResolveJobs) {
   EXPECT_EQ(support::WorkerPool::resolve_jobs(1), 1u);
@@ -63,10 +51,25 @@ TEST(WorkerPool, PropagatesWorkerExceptions) {
       std::runtime_error);
 }
 
+TEST(CampaignCli, SampleStride) {
+  // OSIRIS_SAMPLE: unset keeps the binary's default; anything that is not a
+  // positive integer keeps every injection rather than looping on stride 0.
+  EXPECT_EQ(bench::parse_sample(nullptr, 1), 1u);
+  EXPECT_EQ(bench::parse_sample(nullptr, 3), 3u);
+  EXPECT_EQ(bench::parse_sample("0", 3), 1u);
+  EXPECT_EQ(bench::parse_sample("1", 3), 1u);
+  EXPECT_EQ(bench::parse_sample("3", 1), 3u);
+  EXPECT_EQ(bench::parse_sample("x", 3), 1u);
+  EXPECT_EQ(bench::every_nth(std::vector<int>{0, 1, 2, 3, 4, 5, 6}, 3),
+            (std::vector<int>{0, 3, 6}));
+  EXPECT_EQ(bench::every_nth(std::vector<int>{0, 1, 2}, 1), (std::vector<int>{0, 1, 2}));
+}
+
 TEST(CampaignParallel, JobsDoNotChangeResults) {
   // One thinned EDFI plan (varied fault types and trigger points), applied
   // serially and with 4 workers: classifications must match index-for-index.
-  const auto plan = thin(workload::plan_edfi(/*seed=*/316, /*injections_per_site=*/1), 4);
+  const auto plan =
+      bench::every_nth(workload::plan_edfi(/*seed=*/316, /*injections_per_site=*/1), 4);
   ASSERT_GE(plan.size(), 8u) << "thinned plan too small to exercise sharding";
 
   workload::CampaignOptions serial;
@@ -103,7 +106,7 @@ TEST(CampaignParallel, RecurringCampaignJobsDoNotChangeResults) {
   // The recurring (persistent-fault) campaign has the same determinism
   // contract: survivability buckets merge by plan index, so --jobs=N is
   // byte-identical to the serial reference.
-  const auto plan = thin(workload::plan_recurring(), 8);
+  const auto plan = bench::every_nth(workload::plan_recurring(), 8);
   ASSERT_GE(plan.size(), 4u) << "thinned plan too small to exercise sharding";
 
   workload::CampaignOptions serial;
@@ -191,7 +194,7 @@ TEST(CampaignParallel, StormCampaignJobsDoNotChangeResults) {
 }
 
 TEST(CampaignParallel, ProgressIsSerializedAndMonotonic) {
-  const auto plan = thin(workload::plan_failstop(/*points_per_site=*/1), 6);
+  const auto plan = bench::every_nth(workload::plan_failstop(/*points_per_site=*/1), 6);
   ASSERT_GE(plan.size(), 4u);
 
   std::mutex mu;
@@ -218,7 +221,7 @@ TEST(CampaignParallel, CapturedTracesAreByteIdenticalAcrossJobs) {
   // reference run captures. This is the strongest form of the guarantee —
   // not just the same classifications, but the same total order of IPC,
   // checkpointing, window, fault, and recovery events inside every run.
-  const auto plan = thin(workload::plan_failstop(/*points_per_site=*/1), 6);
+  const auto plan = bench::every_nth(workload::plan_failstop(/*points_per_site=*/1), 6);
   ASSERT_GE(plan.size(), 4u);
 
   std::vector<std::string> ref_traces;

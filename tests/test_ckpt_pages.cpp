@@ -650,8 +650,8 @@ TEST(PagesIntegration, PageTierSurfacesInMetrics) {
     if (c.name == "ds") {
       saw_ds_pages = true;
       EXPECT_GT(c.aux_bytes, 0u);
-      EXPECT_GT(c.page_records, 0u);
-      EXPECT_GT(c.page_bytes_logged, 0u);
+      EXPECT_GT(c.log.page_records, 0u);
+      EXPECT_GT(c.log.page_bytes_logged, 0u);
     }
   }
   EXPECT_TRUE(saw_ds_pages);
@@ -670,7 +670,7 @@ TEST(PagesIntegration, DefaultConfigReportsNoPageTier) {
   const core::SystemMetrics m = core::collect_metrics(inst);
   for (const core::ComponentMetrics& c : m.components) {
     EXPECT_EQ(c.aux_bytes, 0u);
-    EXPECT_EQ(c.page_records, 0u);
+    EXPECT_EQ(c.log.page_records, 0u);
   }
   EXPECT_EQ(m.report().find("pages["), std::string::npos);
 }
@@ -731,8 +731,8 @@ FaultedRun run_faulted_blob_workload(const os::OsConfig& cfg) {
   const core::SystemMetrics m = core::collect_metrics(inst);
   for (const core::ComponentMetrics& c : m.components) {
     if (c.name == "ds") {
-      out.full_copy_bytes = c.full_copy_bytes;
-      out.delta_restart_bytes = c.delta_restart_bytes;
+      out.full_copy_bytes = c.log.full_copy_bytes;
+      out.delta_restart_bytes = c.log.delta_restart_bytes;
     }
   }
   return out;

@@ -353,11 +353,11 @@ TEST(FastPathMetrics, ZeroCopyAndQueueCountersSurfaceInCollectMetrics) {
   ASSERT_EQ(outcome, OsInstance::Outcome::kCompleted);
 
   const core::SystemMetrics m = core::collect_metrics(inst);
-  EXPECT_GT(m.queue_high_water, 0u);
-  EXPECT_GT(m.grant_bypass_bytes, 0u);
-  EXPECT_GT(m.grant_spans, 0u);
-  EXPECT_EQ(m.grant_bypass_bytes, inst.kern().stats().grant_bypass_bytes);
-  EXPECT_EQ(m.safecopy_bytes, inst.kern().stats().safecopy_bytes);
+  EXPECT_GT(m.kernel.queue_high_water, 0u);
+  EXPECT_GT(m.kernel.grant_bypass_bytes, 0u);
+  EXPECT_GT(m.kernel.grant_spans, 0u);
+  EXPECT_EQ(m.kernel.grant_bypass_bytes, inst.kern().stats().grant_bypass_bytes);
+  EXPECT_EQ(m.kernel.safecopy_bytes, inst.kern().stats().safecopy_bytes);
 
   const std::string report = m.report();
   EXPECT_NE(report.find("fastpath:"), std::string::npos);
@@ -374,6 +374,6 @@ TEST(FastPathMetrics, QueueHighWaterTracksWithoutFlags) {
   });
   ASSERT_EQ(outcome, OsInstance::Outcome::kCompleted);
   const core::SystemMetrics m = core::collect_metrics(inst);
-  EXPECT_GT(m.queue_high_water, 0u);
-  EXPECT_EQ(m.grant_bypass_bytes, 0u);
+  EXPECT_GT(m.kernel.queue_high_water, 0u);
+  EXPECT_EQ(m.kernel.grant_bypass_bytes, 0u);
 }

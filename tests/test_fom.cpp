@@ -444,10 +444,10 @@ TEST(FomExecutor, MetricsSurfaceExecutorCounters) {
   for (const core::ComponentMetrics& c : m.components) {
     if (c.name != "vfs") continue;
     found = true;
-    EXPECT_EQ(c.fom_admitted, fs.admitted);
-    EXPECT_EQ(c.fom_parks, fs.parks);
-    EXPECT_EQ(c.fom_resumes, fs.resumes);
-    EXPECT_EQ(c.fom_in_flight_high_water, fs.in_flight_high_water);
+    EXPECT_EQ(c.fom.admitted, fs.admitted);
+    EXPECT_EQ(c.fom.parks, fs.parks);
+    EXPECT_EQ(c.fom.resumes, fs.resumes);
+    EXPECT_EQ(c.fom.in_flight_high_water, fs.in_flight_high_water);
   }
   EXPECT_TRUE(found);
   EXPECT_NE(m.report().find("fom[vfs]:"), std::string::npos);

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_cli.hpp"
 #include "fi/registry.hpp"
 #include "kernel/fastpath.hpp"
 #include "os/instance.hpp"
@@ -86,14 +87,6 @@ FlaggedRun run_flagged(const kernel::FastPath& fastpath,
   r.full_text = trace::format_text(tracer.merged(), tracer);
   r.stats = inst.kern().stats();
   return r;
-}
-
-/// Every k-th injection of a full plan — the campaign-test thinning idiom.
-std::vector<workload::Injection> thin(const std::vector<workload::Injection>& plan,
-                                      std::size_t stride) {
-  std::vector<workload::Injection> out;
-  for (std::size_t i = 0; i < plan.size(); i += stride) out.push_back(plan[i]);
-  return out;
 }
 
 const kernel::FastPath kZeroCopy{.zero_copy = true};
@@ -199,7 +192,7 @@ TEST(TraceFastPath, BulkFileIoTraceIdenticalWhileBypassEngages) {
 // fast path is live.
 TEST(TraceFastPath, ZeroCopyCampaignTracesMatchBaselineAcrossJobs) {
   FiGuard guard;
-  const auto plan = thin(workload::plan_failstop(/*points_per_site=*/1), 6);
+  const auto plan = bench::every_nth(workload::plan_failstop(/*points_per_site=*/1), 6);
   ASSERT_GE(plan.size(), 4u) << "thinned plan too small to exercise sharding";
 
   std::vector<std::string> ref_traces;

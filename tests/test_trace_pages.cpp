@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_cli.hpp"
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
 #include "trace_matcher.hpp"
@@ -166,12 +167,8 @@ TEST(TracePages, TierOffEmitsNoPageEvents) {
 TEST(TracePages, CampaignTracesByteIdenticalAcrossJobsWithPageTier) {
   FiGuard guard;
   std::vector<workload::Injection> plan = workload::plan_failstop(/*points_per_site=*/1);
-  if (plan.size() > 6) {  // thin for runtime; coverage lives in the campaign suite
-    const std::size_t stride = plan.size() / 6;
-    std::vector<workload::Injection> thin;
-    for (std::size_t i = 0; i < plan.size(); i += stride) thin.push_back(plan[i]);
-    plan.swap(thin);
-  }
+  // Thin for runtime; coverage lives in the campaign suite.
+  if (plan.size() > 6) plan = bench::every_nth(plan, plan.size() / 6);
   ASSERT_GE(plan.size(), 4u);
 
   std::vector<std::string> ref_traces;

@@ -7,17 +7,22 @@
 // legacy importer): components appear as named threads, recovery windows as
 // duration spans, and every IPC / checkpoint / fault / ladder event as an
 // instant. The text output is the same format the golden-trace tests diff.
+// stderr gets a one-line summary, then the run's metrics report
+// (core::SystemMetrics::report()).
 //
 // Exit status: 0 on success, 2 on usage/IO errors, 3 when the scenario run
 // did not complete (the export still happens — a truncated timeline of a
 // wedged machine is exactly what one wants to look at).
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "core/metrics.hpp"
 #include "fi/registry.hpp"
 #include "os/instance.hpp"
 #include "trace/export.hpp"
@@ -77,7 +82,7 @@ struct ScenarioResult {
   OsInstance::Outcome outcome = OsInstance::Outcome::kCompleted;
   std::string text;
   std::string chrome;
-  osiris::kernel::KernelStats kernel_stats;
+  std::string report;  // core::SystemMetrics::report() of the finished run
 };
 
 ScenarioResult run_scenario(const std::string& name, std::size_t ring_events, bool fastpath) {
@@ -151,7 +156,7 @@ ScenarioResult run_scenario(const std::string& name, std::size_t ring_events, bo
   const auto events = tracer.merged();
   result.text = osiris::trace::format_text(events, tracer);
   result.chrome = osiris::trace::to_chrome_json(events, tracer);
-  result.kernel_stats = inst.kern().stats();
+  result.report = osiris::core::collect_metrics(inst).report();
   return result;
 }
 
@@ -184,7 +189,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--chrome" && i + 1 < argc) {
       chrome_path = argv[++i];
     } else if (arg == "--ring" && i + 1 < argc) {
-      ring_events = static_cast<std::size_t>(std::stoull(argv[++i]));
+      // All digits or nothing: "abc" and "12x" are usage errors, not 0 and 12.
+      const std::string_view v = argv[++i];
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), ring_events);
+      if (ec != std::errc() || end != v.data() + v.size()) return usage(argv[0]);
     } else if (arg == "--fastpath") {
       fastpath = true;
     } else {
@@ -210,12 +218,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const osiris::kernel::KernelStats& ks = result.kernel_stats;
   std::cerr << "osiris-trace: scenario=" << scenario
             << " outcome=" << OsInstance::outcome_name(result.outcome)
-            << " fastpath=" << (fastpath ? "on" : "off") << " queue-hw=" << ks.queue_high_water
-            << " zero-copy-bytes=" << ks.grant_bypass_bytes
-            << " fevers=" << ks.fever_onsets << " throttled-drops=" << ks.throttled_drops
-            << '\n';
+            << " fastpath=" << (fastpath ? "on" : "off") << '\n'
+            << result.report;
   return result.outcome == OsInstance::Outcome::kCompleted ? 0 : 3;
 }
