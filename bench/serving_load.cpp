@@ -594,6 +594,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (opt.reps < 1) {
+    std::fprintf(stderr, "serving_load: --reps must be at least 1\n");
+    return 2;
+  }
   const int max_clients = static_cast<int>(servers::kMaxProcs);
   if (opt.clients > max_clients) {
     std::fprintf(stderr, "serving_load: clamping --clients %d to process-table capacity %d\n",
@@ -694,10 +698,11 @@ int main(int argc, char** argv) {
     Options miss_opt = opt;
     miss_opt.clients = depth;
     // Block-sized ops: the serving-miss workload is random single-block
-    // reads over a cold set. Bulk multi-block ops would re-run the handler
-    // once per missing block under the executor (the documented re-execution
-    // amplification, EXPERIMENTS.md), which measures re-run cost, not the
-    // stall; one block per op isolates the overlap the axis is after.
+    // reads over a cold set. A bulk multi-block op parks once per missing
+    // span under the executor, but its re-run and the span's extra reads
+    // would mix re-execution cost into the stall; one block per op isolates
+    // the overlap the axis is after, and keeps the axis comparable across
+    // executor changes (DESIGN.md §16).
     miss_opt.payload = fs::kBlockSize;
     for (const bool fom : {false, true}) {
       std::vector<RunResult> reps;

@@ -22,13 +22,14 @@ inline constexpr std::size_t kBlockSize = 1024;
 
 /// Thrown by the cached store when a block is absent and the caller runs in
 /// FOM mode: the in-progress operation unwinds to the executor, which parks
-/// the request and retries once the asynchronous read lands. MiniFs keeps all
+/// the request and retries once every asynchronous read it lists has landed.
+/// `bnos` is the block the operation stopped on followed by the absent rest
+/// of its span (BlockStore::prefetch). MiniFs keeps all
 /// per-operation state on the stack, so unwinding mid-operation is safe — the
 /// executor rolls the attempt's undo entries back before parking, leaving no
 /// half-applied stores behind.
 struct BlockMiss {
-  std::uint32_t bno;
-  explicit BlockMiss(std::uint32_t b) : bno(b) {}
+  std::vector<std::uint32_t> bnos;  // never empty; front() stopped the attempt
 };
 
 struct BlockDevStats {

@@ -15,6 +15,12 @@ std::byte* BlockCache::lookup(std::uint32_t bno) {
   return entries_[bno]->data.data();
 }
 
+bool BlockCache::probe(std::uint32_t bno) {
+  if (entries_.count(bno) != 0) return true;
+  ++stats_.misses;
+  return false;
+}
+
 std::byte* BlockCache::insert(
     std::uint32_t bno, std::span<const std::byte, kBlockSize> data,
     std::optional<std::pair<std::uint32_t, std::vector<std::byte>>>* evicted_dirty) {

@@ -33,6 +33,11 @@ class BlockCache {
   /// Pointer to cached block data, or nullptr on miss. Refreshes LRU order.
   [[nodiscard]] std::byte* lookup(std::uint32_t bno);
 
+  /// Residency check for a gathered miss: true if `bno` is cached. An absent
+  /// block counts one miss; a present one counts nothing and keeps its LRU
+  /// position (the caller does not read it now).
+  [[nodiscard]] bool probe(std::uint32_t bno);
+
   /// Insert (or overwrite) a block; returns its cached data pointer.
   /// If the cache is full, the least recently used *clean* entry is evicted;
   /// a dirty victim is reported through `evicted_dirty` so the caller can
@@ -49,6 +54,7 @@ class BlockCache {
   void invalidate_all();
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
  private:

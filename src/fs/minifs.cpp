@@ -1,6 +1,7 @@
 #include "fs/minifs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "support/common.hpp"
@@ -404,6 +405,13 @@ std::int64_t MiniFs::read(Ino ino, std::uint32_t offset, std::span<std::byte> ou
   // Borrow the indirect block once instead of re-reading it per data block.
   // Any fallback read_block may evict the borrowed entry, so re-borrow after.
   const std::uint32_t* ind = peek_indirect(di);
+  // Block numbers of the span past the first block the store could not lend,
+  // filled once (ahead_fbn = its first file block, 0 = not yet): every
+  // read_block is told the rest, so a store that parks on misses waits once
+  // for the whole span instead of once per block.
+  std::array<std::uint32_t, kDirect + kPtrsPerBlock> ahead;
+  std::uint32_t ahead_fbn = 0;
+  std::size_t ahead_len = 0;
   while (done < want) {
     const std::uint32_t pos = offset + static_cast<std::uint32_t>(done);
     const std::uint32_t fbn = pos / kBlockSize;
@@ -423,6 +431,21 @@ std::int64_t MiniFs::read(Ino ino, std::uint32_t offset, std::span<std::byte> ou
     } else if (const std::byte* p = store_.peek_block(bno)) {
       std::memcpy(out.data() + done, p + in_blk, chunk);
     } else {
+      if (ahead_fbn == 0) {
+        ahead_fbn = fbn + 1;
+        const auto last_fbn = static_cast<std::uint32_t>((offset + want - 1) / kBlockSize);
+        for (std::uint32_t f = ahead_fbn; f <= last_fbn; ++f) {
+          if (f < kDirect) {
+            ahead[ahead_len++] = di.direct[f];
+          } else if (ind != nullptr && f - kDirect < kPtrsPerBlock) {
+            ahead[ahead_len++] = ind[f - kDirect];
+          } else {
+            break;  // the pointer is on a block the store could not lend
+          }
+        }
+      }
+      const std::size_t skip = std::min<std::size_t>(fbn + 1 - ahead_fbn, ahead_len);
+      store_.prefetch(std::span<const std::uint32_t>(ahead.data() + skip, ahead_len - skip));
       store_.read_block(bno, std::span<std::byte, kBlockSize>(blk));
       std::memcpy(out.data() + done, blk + in_blk, chunk);
       ind = peek_indirect(di);

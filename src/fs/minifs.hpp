@@ -86,6 +86,12 @@ class BlockStore {
   /// any later read_block/write_block (an insert may evict the borrowed
   /// entry), so consume or re-borrow after touching the store.
   virtual const std::byte* peek_block(std::uint32_t /*bno*/) { return nullptr; }
+
+  /// Hint for the next read_block only: the caller goes on to read `bnos`
+  /// (in order; 0 marks a hole). A store that parks on misses fetches the
+  /// absent ones in the same wait; the others ignore it. `bnos` must stay
+  /// valid until that read_block returns or throws.
+  virtual void prefetch(std::span<const std::uint32_t> /*bnos*/) {}
 };
 
 class MiniFs {

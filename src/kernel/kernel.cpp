@@ -238,7 +238,10 @@ std::byte* Kernel::grant_span(Endpoint grantee, GrantId id, std::size_t offset, 
   return g->base + offset;
 }
 
-void Kernel::note_grant_bypass(Endpoint grantee, std::size_t len, int dir) {
+// `grantee` and `dir` only feed the trace event, which OSIRIS_TRACE=OFF
+// compiles out.
+void Kernel::note_grant_bypass([[maybe_unused]] Endpoint grantee, std::size_t len,
+                               [[maybe_unused]] int dir) {
   stats_.grant_bypass_bytes += len;
   OSIRIS_TRACE_EVENT(kGrantCopy, kTraceKernel, static_cast<std::uint64_t>(grantee.value), len,
                      static_cast<std::uint64_t>(dir));

@@ -11,10 +11,12 @@
 //   park    -> kParked    the attempt's undo entries are rolled back to the
 //                         admission mark first, so a parked FOM owns ZERO
 //                         live undo entries (the epoch-occupancy invariant);
-//                         then Window::fom_park() suspends the window
-//   resume  -> kRunning   Window::fom_resume() re-checkpoints and reopens;
+//                         then Window::fom_park() suspends the window. One
+//                         park waits for every read of the missing span
+//   resume  -> kRunning   once the last of those reads lands:
+//                         Window::fom_resume() re-checkpoints and reopens;
 //                         the handler re-runs from scratch against a cache
-//                         warmed by the completed read
+//                         warmed by the completed reads
 //   finish  -> gone       reply sent, record retired
 //   abort   -> gone       component restarted under the FOM: the executor
 //                         reconciles the orphaned requester with E_CRASH
@@ -53,6 +55,7 @@ struct FomRecord {
   bool resumed = false;          // true once the request re-ran at least once
   Tick parked_at = 0;            // virtual tick of the most recent park
   bool sync_fallback = false;    // retry cap hit: misses go synchronous now
+  std::uint32_t outstanding = 0;  // disk reads of the current park not yet landed
 };
 
 struct FomStats {
@@ -85,18 +88,27 @@ class FomCore {
     return id;
   }
 
-  void park(std::uint64_t id, Tick now) {
+  /// Park `id` until `reads` disk reads have landed (see land()).
+  void park(std::uint64_t id, Tick now, std::uint32_t reads) {
     FomRecord& r = get(id);
-    OSIRIS_ASSERT(r.state == FomState::kRunning);
+    OSIRIS_ASSERT(r.state == FomState::kRunning && reads > 0);
     r.state = FomState::kParked;
     r.parked_at = now;
+    r.outstanding = reads;
     ++r.retries;
     ++stats_.parks;
   }
 
+  /// One of parked `id`'s reads landed; true once none is outstanding.
+  bool land(std::uint64_t id) {
+    FomRecord& r = get(id);
+    OSIRIS_ASSERT(r.state == FomState::kParked && r.outstanding > 0);
+    return --r.outstanding == 0;
+  }
+
   void resume(std::uint64_t id, Tick now) {
     FomRecord& r = get(id);
-    OSIRIS_ASSERT(r.state == FomState::kParked);
+    OSIRIS_ASSERT(r.state == FomState::kParked && r.outstanding == 0);
     r.state = FomState::kRunning;
     r.resumed = true;
     stats_.wait_ticks_total += now - r.parked_at;

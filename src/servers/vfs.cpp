@@ -1,6 +1,8 @@
 #include "servers/vfs.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "support/log.hpp"
 #include "trace/trace.hpp"
@@ -149,6 +151,7 @@ void Vfs::on_restored(bool rolled_back) {
 
 void Vfs::CachedStore::read_block(std::uint32_t bno,
                                   std::span<std::byte, fs::kBlockSize> out) {
+  const std::span<const std::uint32_t> ahead = std::exchange(ahead_, {});
   if (std::byte* hit = vfs_.cache_.lookup(bno); hit != nullptr) {
     std::memcpy(out.data(), hit, fs::kBlockSize);
     return;
@@ -162,7 +165,9 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
     // has no cache/disk side effects a rollback cannot undo. (Under kAlways
     // the log outlives the window, so should_log alone is not enough.) The
     // livelock guard caps how often one request may retry before degrading
-    // to a synchronous wait.
+    // to a synchronous wait. One park fetches the absent rest of the span
+    // too (prefetch), at most half the cache, so what the park fetched can
+    // still be cached when the request re-runs.
     FomRecord& rec = vfs_.fom_.get(vfs_.current_fom_);
     bool parkable = vfs_.window().is_open() && vfs_.ckpt_context().should_log() &&
                     !rec.sync_fallback;
@@ -170,7 +175,15 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
       rec.sync_fallback = true;
       parkable = false;
     }
-    if (parkable) throw fs::BlockMiss(bno);
+    if (parkable) {
+      std::vector<std::uint32_t> missing{bno};
+      const std::size_t cap = std::max<std::size_t>(vfs_.cache_.capacity() / 2, 1);
+      for (const std::uint32_t b : ahead) {
+        if (missing.size() >= cap) break;
+        if (b != 0 && !vfs_.cache_.probe(b)) missing.push_back(b);  // 0: a hole
+      }
+      throw fs::BlockMiss{std::move(missing)};
+    }
     vfs_.fom_.note_sync_fallback();
     // analyze-suppress(blocking-in-handler): FOM sync fallback — reached only
     // when the window already closed (nothing left to preserve by parking) or
@@ -227,6 +240,10 @@ void Vfs::CachedStore::read_block(std::uint32_t bno,
         evicted->first, std::span<const std::byte, fs::kBlockSize>(evicted->second), [] {});
   }
   std::memcpy(out.data(), cached, fs::kBlockSize);
+}
+
+void Vfs::CachedStore::prefetch(std::span<const std::uint32_t> bnos) {
+  if (vfs_.current_fom_ != 0) ahead_ = bnos;
 }
 
 const std::byte* Vfs::CachedStore::peek_block(std::uint32_t bno) {
@@ -420,9 +437,9 @@ std::optional<Message> Vfs::fom_run(std::uint64_t id, bool initial) {
     current_initial_ = prev_initial;
     ckpt_context().log().rollback_to(mark);
     window().fom_park();
-    fom_.park(id, kern().clock().now());
-    OSIRIS_TRACE_EVENT(kFomPark, endpoint().value, id, miss.bno);
-    fom_submit_read(miss.bno, id);
+    fom_.park(id, kern().clock().now(), static_cast<std::uint32_t>(miss.bnos.size()));
+    OSIRIS_TRACE_EVENT(kFomPark, endpoint().value, id, miss.bnos.front(), miss.bnos.size());
+    for (const std::uint32_t bno : miss.bnos) fom_submit_read(bno, id);
     return std::nullopt;
   }
   // A fail-stop fault propagates past this frame with current_fom_ still
@@ -432,9 +449,10 @@ std::optional<Message> Vfs::fom_run(std::uint64_t id, bool initial) {
 
 void Vfs::fom_submit_read(std::uint32_t bno, std::uint64_t id) {
   // Several FOMs missing the same block share one disk read (the map is
-  // small: one entry per distinct in-flight miss).
+  // small: one entry per distinct in-flight miss). Resume-chain entries
+  // carry no read, so they cannot count down a new waiter.
   for (auto& [tok, pr] : pending_reads_) {
-    if (pr.bno == bno) {
+    if (pr.bno == bno && pr.staging) {
       pr.waiters.push_back(id);
       return;
     }
@@ -468,19 +486,22 @@ bool Vfs::fom_dev_done(std::uint64_t token) {
                         std::span<const std::byte, fs::kBlockSize>(evicted->second), [] {});
     }
   }
-  // Waiters aborted while parked (boot-image restart) are simply gone.
-  while (!pr.waiters.empty() && !fom_.contains(pr.waiters.front())) {
-    pr.waiters.erase(pr.waiters.begin());
+  // The ready waiters: those still live (boot-image restart drops parked
+  // FOMs) whose last outstanding read this was. A chain entry holds only
+  // ready ones.
+  std::vector<std::uint64_t> ready;
+  for (const std::uint64_t w : pr.waiters) {
+    if (fom_.contains(w) && (!pr.staging || fom_.land(w))) ready.push_back(w);
   }
-  if (pr.waiters.empty()) return true;
-  const std::uint64_t id = pr.waiters.front();
-  pr.waiters.erase(pr.waiters.begin());
-  if (!pr.waiters.empty()) {
+  if (ready.empty()) return true;
+  const std::uint64_t id = ready.front();
+  ready.erase(ready.begin());
+  if (!ready.empty()) {
     // Resume exactly one FOM per notification and chain the rest through a
     // fresh self-notify: if a resumed attempt crashes, the queued chain
     // survives recovery, so the remaining waiters are never orphaned.
     const std::uint64_t t2 = next_token_++;
-    pending_reads_[t2] = PendingRead{pr.bno, nullptr, std::move(pr.waiters)};
+    pending_reads_[t2] = PendingRead{pr.bno, nullptr, std::move(ready)};
     Message done = encode(VFS_DEV_DONE | kernel::kNotifyBit, t2);
     // analyze-suppress(raw-kernel-send): self-directed resume chaining; the
     // block is cached, only the dispatch round-trip is deferred.

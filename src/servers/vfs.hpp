@@ -168,13 +168,18 @@ class Vfs final : public ServerBase<VfsState> {
     /// Cache hit -> borrowed pointer into the cache (refreshes LRU); miss ->
     /// nullptr, never blocks. Lets MiniFs skip the per-block staging copy.
     const std::byte* peek_block(std::uint32_t bno) override;
+    /// Under a FOM, keeps `bnos` for the next read_block: a parkable miss
+    /// there lists their absent blocks too. No-op in fiber mode.
+    void prefetch(std::span<const std::uint32_t> bnos) override;
 
    private:
     Vfs& vfs_;
+    std::span<const std::uint32_t> ahead_;  // prefetch hint, valid for one read_block
   };
 
   /// One disk read in flight on behalf of parked FOMs. `staging` is null for
-  /// resume-chain entries whose block is already cached.
+  /// resume-chain entries: their block is cached and their waiters have no
+  /// read outstanding.
   struct PendingRead {
     std::uint32_t bno = 0;
     std::shared_ptr<std::array<std::byte, fs::kBlockSize>> staging;
@@ -188,7 +193,8 @@ class Vfs final : public ServerBase<VfsState> {
   std::optional<kernel::Message> start_request(const kernel::Message& m);
   // --- FOM executor ------------------------------------------------------
   std::optional<kernel::Message> fom_execute(const kernel::Message& m);
-  /// Run (or re-run) FOM `id`'s handler; parks it on a BlockMiss.
+  /// Run (or re-run) FOM `id`'s handler; parks it on a BlockMiss until every
+  /// block the miss lists has landed.
   std::optional<kernel::Message> fom_run(std::uint64_t id, bool initial);
   void fom_submit_read(std::uint32_t bno, std::uint64_t id);
   /// Handle a disk completion owned by the executor; false if `token` is

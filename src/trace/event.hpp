@@ -54,7 +54,7 @@ enum class EventKind : std::uint8_t {
   kRecoveryThrottle,  // a0=detection latency (ticks since storm onset)
 
   // --- FOM executor (appended; component = owning server) ----------------
-  kFomPark,    // a0=fom id, a1=missing block number, a2=retry count
+  kFomPark,    // a0=fom id, a1=first missing block, a2=blocks the park waits for
   kFomResume,  // a0=fom id, a1=message type being re-run
   kFomAbort,   // a0=fom id, a1=1 if E_CRASH reconciliation was sent
 

@@ -201,10 +201,11 @@ TEST(FomCore, LifecycleAdmitParkResumeFinish) {
   EXPECT_EQ(core.get(id).state, FomState::kRunning);
   EXPECT_FALSE(core.get(id).resumed);
 
-  core.park(id, /*now=*/100);
+  core.park(id, /*now=*/100, /*reads=*/1);
   EXPECT_EQ(core.get(id).state, FomState::kParked);
   EXPECT_EQ(core.get(id).retries, 1u);
   EXPECT_EQ(core.get(id).parked_at, 100u);
+  EXPECT_TRUE(core.land(id));
 
   core.resume(id, /*now=*/140);
   EXPECT_EQ(core.get(id).state, FomState::kRunning);
@@ -222,11 +223,29 @@ TEST(FomCore, LifecycleAdmitParkResumeFinish) {
   EXPECT_EQ(core.stats().aborts, 0u);
 }
 
+TEST(FomCore, GatheredParkResumesOnLastLanding) {
+  // One park waits for a whole miss span: it stays parked until the last of
+  // its reads lands, and counts one park and one retry, not one per block.
+  FomCore core;
+  const std::uint64_t id = core.admit(req(10));
+  core.park(id, /*now=*/0, /*reads=*/3);
+  EXPECT_EQ(core.get(id).outstanding, 3u);
+  EXPECT_FALSE(core.land(id));
+  EXPECT_FALSE(core.land(id));
+  EXPECT_EQ(core.get(id).state, FomState::kParked);
+  EXPECT_TRUE(core.land(id));
+  core.resume(id, /*now=*/40);
+  core.finish(id);
+  EXPECT_EQ(core.stats().parks, 1u);
+  EXPECT_EQ(core.stats().retries, 1u);
+  EXPECT_EQ(core.stats().wait_ticks_total, 40u);
+}
+
 TEST(FomCore, AbortDropsLiveRecord) {
   FomCore core;
   const std::uint64_t a = core.admit(req(1));
   const std::uint64_t b = core.admit(req(2));
-  core.park(a, 10);
+  core.park(a, 10, 1);
   core.abort(a);
   EXPECT_FALSE(core.contains(a));
   EXPECT_TRUE(core.contains(b));
@@ -237,12 +256,14 @@ TEST(FomCore, AbortDropsLiveRecord) {
 TEST(FomCore, HighWaterTracksConcurrentFoms) {
   FomCore core;
   const std::uint64_t a = core.admit(req(1));
-  core.park(a, 0);
+  core.park(a, 0, 1);
   const std::uint64_t b = core.admit(req(2));
-  core.park(b, 0);
+  core.park(b, 0, 1);
   const std::uint64_t c = core.admit(req(3));
   EXPECT_EQ(core.stats().in_flight_high_water, 3u);
   core.finish(c);
+  EXPECT_TRUE(core.land(a));
+  EXPECT_TRUE(core.land(b));
   core.resume(a, 5);
   core.finish(a);
   core.resume(b, 5);
@@ -451,6 +472,160 @@ TEST(FomExecutor, MetricsSurfaceExecutorCounters) {
   }
   EXPECT_TRUE(found);
   EXPECT_NE(m.report().find("fom[vfs]:"), std::string::npos);
+}
+
+// --- gathered misses: one park per cold span --------------------------------
+
+TEST(FomExecutor, ColdMultiBlockReadParksOnceForTheWholeSpan) {
+  // An 8-block cold read parks once, on all eight blocks, and the disk reads
+  // each of them once: the handler re-runs once, not once per block. Both
+  // MiniFs read paths (staged copy and zero-copy borrow) hint the span.
+  for (const bool zero_copy : {false, true}) {
+    FiGuard guard;
+    os::OsConfig cfg;
+    cfg.vfs_fom = true;
+    cfg.fastpath.zero_copy = zero_copy;
+    cfg.cache_blocks = 16;  // gathers up to 8 blocks per park
+    os::OsInstance inst(cfg);
+    workload::register_suite_programs(inst.programs());
+    inst.boot();
+    const std::vector<std::byte> data = pattern(8 * 1024, 4);
+    std::vector<std::byte> got(data.size());
+    std::int64_t n = 0;
+    servers::FomStats before{}, after{};
+    std::uint64_t reads_before = 0, reads_after = 0;
+    const auto outcome = inst.run([&](ISys& sys) {
+      write_and_evict(sys, "/tmp/fom-g", data, "/tmp/fom-scratch");
+      const std::int64_t fd = sys.open("/tmp/fom-g", servers::O_RDONLY);  // warms the inode
+      ASSERT_GE(fd, 0);
+      before = *inst.vfs().fom_stats();
+      reads_before = inst.disk().stats().reads;
+      n = sys.read(fd, std::span<std::byte>(got.data(), got.size()));
+      after = *inst.vfs().fom_stats();
+      reads_after = inst.disk().stats().reads;
+      sys.close(fd);
+    });
+    ASSERT_EQ(outcome, OsInstance::Outcome::kCompleted) << "zero_copy " << zero_copy;
+    EXPECT_EQ(n, static_cast<std::int64_t>(data.size()));
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(after.parks - before.parks, 1u) << "zero_copy " << zero_copy;
+    EXPECT_EQ(after.retries - before.retries, 1u) << "zero_copy " << zero_copy;
+    EXPECT_EQ(reads_after - reads_before, 8u) << "zero_copy " << zero_copy;
+    EXPECT_EQ(after.sync_fallbacks, before.sync_fallbacks);
+  }
+}
+
+TEST(FomExecutor, SpanLargerThanHalfTheCacheStillCompletes) {
+  // A 16 KiB read through a 4-block cache: a park gathers at most two blocks
+  // (half the cache), so the blocks one park fetches fit beside the inode
+  // and indirect blocks, and the read completes with the right bytes. With
+  // zero-copy on, MiniFs can lend the indirect block and so hints all 16.
+  // The health monitor is on, as in a full system: without the cap a park
+  // gathers more blocks than the cache holds, re-misses at once, and that
+  // churn leaves the run hung.
+  for (const bool zero_copy : {false, true}) {
+    FiGuard guard;
+    os::OsConfig cfg;
+    cfg.vfs_fom = true;
+    cfg.fastpath.zero_copy = zero_copy;
+    cfg.health.enabled = true;
+    cfg.cache_blocks = 4;
+    os::OsInstance inst(cfg);
+    workload::register_suite_programs(inst.programs());
+    inst.boot();
+    const std::vector<std::byte> data = pattern(16 * 1024, 6);
+    std::vector<std::byte> got;
+    const auto outcome = inst.run([&](ISys& sys) {
+      write_and_evict(sys, "/tmp/fom-big", data, "/tmp/fom-scratch");
+      got = read_back(sys, "/tmp/fom-big", data.size());
+    });
+    ASSERT_EQ(outcome, OsInstance::Outcome::kCompleted) << "zero_copy " << zero_copy;
+    EXPECT_EQ(got, data) << "zero_copy " << zero_copy;
+    const servers::FomStats& fs = *inst.vfs().fom_stats();
+    EXPECT_EQ(fs.completed, fs.admitted);
+    EXPECT_EQ(fs.resumes, fs.parks);
+    EXPECT_EQ(inst.vfs().fom_core().in_flight(), 0u);
+  }
+}
+
+namespace {
+
+/// Two children read overlapping cold spans of one 10-block file at once:
+/// A reads file blocks 0-7, B blocks 2-9. The parent opens both fds first,
+/// so the children's only VFS requests are the two reads. Each child exits
+/// 0 for the right bytes, 1 for E_CRASH, 2 otherwise.
+struct OverlapRun {
+  OsInstance::Outcome outcome = OsInstance::Outcome::kCompleted;
+  std::vector<std::int64_t> statuses;
+  servers::FomStats fom{};  // delta over the children's reads
+  std::uint64_t disk_reads = 0;
+  std::uint64_t reconciles = 0;  // resumed attempts answered by the executor
+};
+
+OverlapRun run_overlapping_spans(const os::OsConfig& cfg, fi::Site* arm_site) {
+  os::OsInstance inst(cfg);
+  workload::register_suite_programs(inst.programs());
+  inst.boot();
+  const std::vector<std::byte> data = pattern(10 * 1024, 8);
+  OverlapRun r;
+  servers::FomStats before{};
+  std::uint64_t reads_before = 0;
+  r.outcome = inst.run([&](ISys& sys) {
+    write_and_evict(sys, "/tmp/fom-ov", data, "/tmp/fom-scratch");
+    const std::int64_t fa = sys.open("/tmp/fom-ov", servers::O_RDONLY);
+    const std::int64_t fb = sys.open("/tmp/fom-ov", servers::O_RDONLY);
+    if (fa < 0 || fb < 0 || sys.lseek(fb, 2 * 1024, 0) != 2 * 1024) sys.exit(9);
+    before = *inst.vfs().fom_stats();
+    reads_before = inst.disk().stats().reads;
+    // Hits +1 and +2 are the two initial attempts (both park on the disk),
+    // +3 is the first resumed one.
+    if (arm_site != nullptr) {
+      fi::Registry::instance().arm(arm_site, fi::FaultType::kNullDeref, arm_site->hits() + 3);
+    }
+    std::vector<std::int64_t> pids;
+    for (const auto& [fd, off] : {std::pair{fa, 0}, std::pair{fb, 2 * 1024}}) {
+      pids.push_back(sys.fork([fd, off, &data](ISys& child) {
+        std::vector<std::byte> buf(8 * 1024);
+        const std::int64_t n = child.read(fd, std::span<std::byte>(buf.data(), buf.size()));
+        if (n == kernel::E_CRASH) child.exit(1);
+        const bool ok = n == static_cast<std::int64_t>(buf.size()) &&
+                        std::equal(buf.begin(), buf.end(), data.begin() + off);
+        child.exit(ok ? 0 : 2);
+      }));
+    }
+    for (const std::int64_t pid : pids) {
+      std::int64_t status = -1;
+      sys.wait_pid(pid, &status);
+      r.statuses.push_back(status);
+    }
+  });
+  const servers::FomStats& fs = *inst.vfs().fom_stats();
+  r.fom.parks = fs.parks - before.parks;
+  r.fom.resumes = fs.resumes - before.resumes;
+  r.fom.aborts = fs.aborts - before.aborts;
+  r.fom.in_flight_high_water = fs.in_flight_high_water;
+  r.disk_reads = inst.disk().stats().reads - reads_before;
+  r.reconciles = inst.engine().stats().fom_reconciles;
+  return r;
+}
+
+}  // namespace
+
+TEST(FomExecutor, OverlappingColdSpansShareEveryRead) {
+  // The six shared blocks are read once: ten disk reads for the union of
+  // the two spans. Each FOM parks once and resumes exactly once, when the
+  // last of its own reads lands.
+  FiGuard guard;
+  os::OsConfig cfg;
+  cfg.vfs_fom = true;
+  cfg.cache_blocks = 16;
+  const OverlapRun r = run_overlapping_spans(cfg, nullptr);
+  ASSERT_EQ(r.outcome, OsInstance::Outcome::kCompleted);
+  EXPECT_EQ(r.statuses, (std::vector<std::int64_t>{0, 0}));
+  EXPECT_EQ(r.disk_reads, 10u);
+  EXPECT_EQ(r.fom.parks, 2u);
+  EXPECT_EQ(r.fom.resumes, 2u);
+  EXPECT_GE(r.fom.in_flight_high_water, 2u);  // both spans were in flight at once
 }
 
 // --- interleaving property harness ------------------------------------------
@@ -712,6 +887,34 @@ TEST(FomRecovery, ResumedAttemptCrashIsReconciledByExecutor) {
       // Fault fired in the initial attempt instead: ordinary reconciliation.
       EXPECT_EQ(read_ret, kernel::E_CRASH);
     }
+  }
+  EXPECT_TRUE(reconciled) << "no candidate site landed the fault inside a resumed attempt";
+}
+
+TEST(FomRecovery, CrashInResumedGatheredAttemptSparesTheOtherWaiters) {
+  // Two FOMs wait on overlapping gathered spans; the last shared read makes
+  // both ready, one resumes and the other is chained. A fail-stop in the
+  // resumed attempt is answered with E_CRASH by the executor, and the
+  // chained waiter still completes with the right bytes after the rollback.
+  FiGuard guard;
+  os::OsConfig cfg;
+  cfg.vfs_fom = true;
+  cfg.cache_blocks = 16;
+  const std::vector<fi::Site*> candidates = attempt_sites(cfg);
+  ASSERT_FALSE(candidates.empty());
+  bool reconciled = false;
+  for (fi::Site* site : candidates) {
+    fi::Registry::instance().disarm();
+    fi::Registry::instance().reset_counts();
+    const OverlapRun r = run_overlapping_spans(cfg, site);
+    if (r.outcome != OsInstance::Outcome::kCompleted || r.reconciles == 0) continue;
+    reconciled = true;
+    std::vector<std::int64_t> statuses = r.statuses;
+    std::sort(statuses.begin(), statuses.end());
+    EXPECT_EQ(statuses, (std::vector<std::int64_t>{0, 1}));  // one E_CRASH, one clean read
+    EXPECT_EQ(r.fom.aborts, 1u);
+    EXPECT_EQ(r.fom.parks, 2u);
+    break;
   }
   EXPECT_TRUE(reconciled) << "no candidate site landed the fault inside a resumed attempt";
 }

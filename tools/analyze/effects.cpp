@@ -219,6 +219,20 @@ std::vector<LocalEvent> extract_local_events(const FuncDef& d, const SiteIndex& 
       continue;
     }
 
+    if (tok.is_ident("BlockMiss") && (t[i + 1].is("(") || t[i + 1].is("{"))) {
+      // `throw fs::BlockMiss{bnos}`: the FOM executor's resumable park point.
+      // The dispatch returns (no fiber is held), the request re-runs when the
+      // disk completions arrive — a state transition, not a blocking wait.
+      LocalEvent ev;
+      ev.eff.kind = EffectKind::kFomYield;
+      ev.eff.detail = "fom-miss";
+      ev.eff.file = d.file->path;
+      ev.eff.line = tok.line;
+      out.push_back(std::move(ev));
+      ++i;
+      continue;
+    }
+
     if (!t[i + 1].is("(") || is_control_keyword(tok.text)) {
       ++i;
       continue;
@@ -277,19 +291,6 @@ std::vector<LocalEvent> extract_local_events(const FuncDef& d, const SiteIndex& 
       LocalEvent ev;
       ev.eff.kind = EffectKind::kBlocking;
       ev.eff.detail = name == "suspend" ? "fiber-suspend" : "blockdev-wait";
-      ev.eff.file = d.file->path;
-      ev.eff.line = tok.line;
-      out.push_back(std::move(ev));
-      ++i;
-      continue;
-    }
-    if (name == "BlockMiss") {
-      // `throw fs::BlockMiss(bno)`: the FOM executor's resumable park point.
-      // The dispatch returns (no fiber is held), the request re-runs when the
-      // disk completion arrives — a state transition, not a blocking wait.
-      LocalEvent ev;
-      ev.eff.kind = EffectKind::kFomYield;
-      ev.eff.detail = "fom-miss";
       ev.eff.file = d.file->path;
       ev.eff.line = tok.line;
       out.push_back(std::move(ev));
