@@ -51,9 +51,9 @@ int main() {
     const double slowdown = micro_med > 0 ? mono_med / micro_med : 0.0;
     slowdowns.push_back(slowdown);
     table.add_row({w.name, TablePrinter::fmt(mono_med, 1),
-                   "(" + TablePrinter::fmt(stats::stddev(mono_scores), 1) + ")",
+                   std::string("(").append(TablePrinter::fmt(stats::stddev(mono_scores), 1)) + ")",
                    TablePrinter::fmt(micro_med, 1),
-                   "(" + TablePrinter::fmt(stats::stddev(micro_scores), 1) + ")",
+                   std::string("(").append(TablePrinter::fmt(stats::stddev(micro_scores), 1)) + ")",
                    TablePrinter::fmt(slowdown, 2)});
     std::fflush(stdout);
   }

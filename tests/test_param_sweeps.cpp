@@ -110,8 +110,8 @@ TEST_P(FsGeometryP, FormatPopulateVerify) {
   // Create as many files as fit (bounded by inodes and directory space).
   std::vector<fs::Ino> created;
   for (std::uint32_t i = 0; i < inodes + 4; ++i) {
-    const std::int64_t ino =
-        mfs.create(fs::kRootIno, "f" + std::to_string(i), fs::FileType::kRegular);
+    const std::int64_t ino = mfs.create(
+        fs::kRootIno, std::string("f").append(std::to_string(i)), fs::FileType::kRegular);
     if (ino < 0) {
       EXPECT_TRUE(ino == kernel::E_NOSPC) << ino;
       break;
@@ -144,8 +144,10 @@ INSTANTIATE_TEST_SUITE_P(Geometries, FsGeometryP,
                                            FsGeometry{1024, 64}, FsGeometry{4096, 224},
                                            FsGeometry{8192, 512}),
                          [](const ::testing::TestParamInfo<FsGeometry>& info) {
-                           return "b" + std::to_string(info.param.blocks) + "_i" +
-                                  std::to_string(info.param.inodes);
+                           return std::string("b")
+                               .append(std::to_string(info.param.blocks))
+                               .append("_i")
+                               .append(std::to_string(info.param.inodes));
                          });
 
 // --- pipe chunk-size sweep ----------------------------------------------

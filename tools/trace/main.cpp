@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (text_path.empty() && chrome_path.empty()) text_path = "-";
+  if (text_path.empty() && chrome_path.empty()) text_path.assign(1, '-');
 
   ScenarioResult result;
   try {
