@@ -108,7 +108,7 @@ std::vector<Injection> plan_edfi(std::uint64_t seed, int injections_per_site) {
 }
 
 RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::string* trace_out,
-                           const CampaignOptions& opts) {
+                           const CampaignOptions& opts, RunSteps* steps_out) {
   // The calling thread's registry: each worker owns an isolated probe
   // runtime, so concurrent injections never see each other's state.
   fi::Registry& reg = fi::Registry::instance();
@@ -134,6 +134,7 @@ RunClass run_one_injection(seep::Policy policy, const Injection& inj, std::strin
   reg.arm(inj.site, inj.type, inj.trigger_hit);
   const SuiteResult suite = run_suite(inst);
   reg.disarm();
+  if (steps_out != nullptr) *steps_out = {inst.steps(), inst.longest_stall()};
 
 #if OSIRIS_TRACE_ENABLED
   if (trace_out != nullptr && inst.tracer() != nullptr) {

@@ -17,6 +17,7 @@
 // which makes every table byte-identical to a --jobs=1 run.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -110,15 +111,23 @@ struct CampaignOptions {
   std::size_t vfs_journal_slots = 0;
 };
 
+/// Scheduler-step counters of one run (OsInstance::steps/longest_stall).
+struct RunSteps {
+  std::uint64_t steps = 0;
+  std::uint64_t longest_stall = 0;
+};
+
 /// Run one injection under a policy; returns its classification. Touches
 /// only thread-scoped simulator state, so calls may run concurrently on
 /// distinct threads. When `trace_out` is non-null (and the build has
 /// OSIRIS_TRACE=ON), the run executes with event tracing enabled and the
 /// merged, sequence-ordered text trace is stored there. `opts` carries the
 /// per-run OsConfig knobs (fast path, FOM executor, cache size); its
-/// jobs/progress/traces fields are ignored here.
+/// jobs/progress/traces fields are ignored here. When `steps_out` is
+/// non-null it receives the run's scheduler-step counters.
 RunClass run_one_injection(seep::Policy policy, const Injection& inj,
-                           std::string* trace_out = nullptr, const CampaignOptions& opts = {});
+                           std::string* trace_out = nullptr, const CampaignOptions& opts = {},
+                           RunSteps* steps_out = nullptr);
 
 /// Number of workers a campaign uses for `requested` jobs (0 resolves to
 /// hardware_concurrency) — exposed for benches that print it.
